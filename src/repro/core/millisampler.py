@@ -391,6 +391,13 @@ class Millisampler:
         self._state = SamplerState.DISABLED
         self.stats.runs_completed += 1
 
+    def abort(self) -> None:
+        """Drop the run in progress without completing it (a sync run
+        preempting a periodic one); its counters are never read."""
+        if self._state is SamplerState.ENABLED:
+            self._start_time = None
+            self._state = SamplerState.DISABLED
+
     @property
     def duration(self) -> float:
         return self.sampling_interval * self.buckets

@@ -70,12 +70,24 @@ class SampledHost:
             self._enabled_at = None
             self._active_sync_id = None
         due = self.scheduler.next_run(now)
-        if due is not None:
-            if sampler.state.value == "detached":
-                sampler.attach()
-            sampler.enable()
-            self._enabled_at = now
-            self._active_sync_id = due.sync_id if due.is_sync else None
+        if due is None:
+            return
+        if sampler.enabled:
+            # The scheduler ends a run's busy window at its *scheduled*
+            # start plus duration, but the sampler's window opens at the
+            # host's first packet, so a run can fall due while the
+            # previous one is still recording.  Sync runs keep priority:
+            # a due sync run preempts a periodic recording, and any
+            # other due run is skipped, like a run displaced by one in
+            # progress, leaving the recording intact.
+            if not due.is_sync or self._active_sync_id is not None:
+                return
+            sampler.abort()
+        if sampler.state.value == "detached":
+            sampler.attach()
+        sampler.enable()
+        self._enabled_at = now
+        self._active_sync_id = due.sync_id if due.is_sync else None
 
 
 @dataclass

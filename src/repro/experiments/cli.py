@@ -12,7 +12,9 @@ every experiment executes inside its own failure boundary, so one
 broken experiment never kills the rest — the suite completes, prints a
 failure summary, and exits nonzero.  ``--manifest`` leaves a
 machine-readable JSON record (config, telemetry, per-experiment
-outcomes); ``--profile`` prints the timer/counter profile.
+outcomes); ``--profile`` prints the timer/counter profile;
+``--trace-memory`` adds per-experiment ``tracemalloc`` peaks (off by
+default: tracing slows dataset generation several-fold).
 """
 
 from __future__ import annotations
@@ -134,6 +136,14 @@ def _add_orchestration_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile", action="store_true",
         help="print the timer/counter profile after the run",
+    )
+    parser.add_argument(
+        "--trace-memory", action="store_true",
+        help="record each experiment's tracemalloc allocation peak "
+             "(manifest peak_tracemalloc_bytes); serial runs only "
+             "(--exp-jobs 1), and several times slower wherever "
+             "datasets are generated, so off by default — the RSS "
+             "high-water mark is always recorded",
     )
     parser.add_argument(
         "--audit", action="store_true",
@@ -403,6 +413,7 @@ def _report(args) -> int:
         ctx,
         exp_jobs=args.exp_jobs,
         progress=lambda eid, took: print(f"  {eid}: {took:.1f}s"),
+        trace_memory=args.trace_memory,
     )
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(render_markdown(orchestration.results, ctx, orchestration.outcomes))
@@ -448,7 +459,11 @@ def _run(args) -> int:
                     print(f"  wrote {path}")
 
     orchestration = run_experiments(
-        ctx, requested, exp_jobs=args.exp_jobs, progress=progress
+        ctx,
+        requested,
+        exp_jobs=args.exp_jobs,
+        progress=progress,
+        trace_memory=args.trace_memory,
     )
     return _finish_orchestrated(args, ctx, orchestration)
 

@@ -7,10 +7,14 @@ orchestrator gives every experiment its own failure boundary and
 telemetry:
 
 * each experiment produces an :class:`ExperimentOutcome` — status
-  (``ok`` / ``failed`` / ``skipped``), wall time, peak memory
-  (``tracemalloc`` traced peak when running serially, process RSS
-  high-water mark via :mod:`resource` always), dataset-cache traffic,
-  and the result's headline metrics;
+  (``ok`` / ``failed`` / ``skipped``), wall time, peak memory (process
+  RSS high-water mark via :mod:`resource` always; the ``tracemalloc``
+  traced-allocation peak only when ``trace_memory`` is requested and
+  experiments run serially), dataset-cache traffic, and the result's
+  headline metrics;
+* allocation tracing is opt-in because it is not free: any dataset
+  generated inside a traced experiment is generated under the tracer,
+  which slows generation several-fold;
 * a raising experiment is recorded and the suite continues; the caller
   decides the exit code from :attr:`OrchestrationResult.failures`;
 * ``exp_jobs > 1`` fans experiments out over a thread pool after a
@@ -57,7 +61,8 @@ class ExperimentOutcome:
     wall_time_s: float = 0.0
     error: str | None = None
     #: tracemalloc traced-allocation peak during the experiment; None
-    #: when running on a thread pool (the tracer is process-global).
+    #: unless ``trace_memory`` was requested, and always None on a
+    #: thread pool (the tracer is process-global).
     peak_tracemalloc_bytes: int | None = None
     #: Process RSS high-water mark after the experiment (monotonic
     #: per process, so attribution is approximate); None off-POSIX.
@@ -190,13 +195,17 @@ def run_experiments(
     exp_jobs: int = 1,
     progress: Callable[[ExperimentOutcome, ExperimentResult | None], None] | None = None,
     on_error: str = "collect",
+    trace_memory: bool = False,
 ) -> OrchestrationResult:
     """Run experiments with per-experiment isolation and telemetry.
 
     ``exp_jobs`` follows the ``--jobs`` convention (0 = every core,
-    1 = serial).  ``on_error`` is ``"collect"`` (record the failure,
-    keep going — the orchestrated default) or ``"raise"`` (legacy
-    fail-fast, used where callers want the exception).  ``progress``
+    1 = serial).  ``trace_memory`` records each experiment's
+    ``tracemalloc`` peak; it applies to serial runs only (a thread
+    pool never traces) and slows any generation it covers.
+    ``on_error`` is ``"collect"`` (record the failure, keep going —
+    the orchestrated default) or ``"raise"`` (legacy fail-fast, used
+    where callers want the exception).  ``progress``
     is invoked once per experiment *in requested order* with the
     outcome and the result (None on failure), so streamed output is
     identical for any job count.
@@ -246,7 +255,7 @@ def run_experiments(
 
     if jobs == 1:
         for experiment_id in experiment_ids:
-            collect(*_run_one(ctx, experiment_id, trace_memory=True, reraise=reraise))
+            collect(*_run_one(ctx, experiment_id, trace_memory, reraise))
     else:
         with ThreadPoolExecutor(
             max_workers=jobs, thread_name_prefix="experiment"

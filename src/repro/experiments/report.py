@@ -14,6 +14,7 @@ lands.
 from __future__ import annotations
 
 import io
+import re
 
 from .base import ExperimentResult, format_metric
 from .context import ExperimentContext
@@ -44,11 +45,13 @@ def orchestrate(
     exp_jobs: int = 1,
     progress=None,
     on_error: str = "collect",
+    trace_memory: bool = False,
 ) -> OrchestrationResult:
     """Run the (named or full) registry with outcomes and telemetry.
 
     ``progress`` keeps the historical ``(experiment_id, seconds)``
-    callback shape.
+    callback shape; ``trace_memory`` is passed to
+    :func:`~repro.experiments.orchestrator.run_experiments`.
     """
     ids = experiment_ids or ordered_ids()
     outcome_progress = None
@@ -56,8 +59,33 @@ def orchestrate(
         def outcome_progress(outcome: ExperimentOutcome, _result) -> None:
             progress(outcome.experiment_id, outcome.wall_time_s)
     return run_experiments(
-        ctx, ids, exp_jobs=exp_jobs, progress=outcome_progress, on_error=on_error
+        ctx,
+        ids,
+        exp_jobs=exp_jobs,
+        progress=outcome_progress,
+        on_error=on_error,
+        trace_memory=trace_memory,
     )
+
+
+#: A headline ends at the first ``;`` or sentence-ending period: a
+#: period followed by whitespace or the end, never a decimal point.
+_CLAUSE_END = re.compile(r";|\.(?=\s|$)")
+
+#: Longest summary-table headline before it is clipped at a word.
+HEADLINE_CHARS = 110
+
+
+def headline(notes: str) -> str:
+    """The first clause of an experiment's notes, for the summary table.
+
+    Clipped to :data:`HEADLINE_CHARS` at a word boundary (marked with
+    an ellipsis), so a number is never cut in half.
+    """
+    first = _CLAUSE_END.split(notes, maxsplit=1)[0].strip()
+    if len(first) <= HEADLINE_CHARS:
+        return first
+    return first[:HEADLINE_CHARS].rsplit(" ", 1)[0] + " …"
 
 
 def render_markdown(
@@ -92,8 +120,9 @@ def render_markdown(
     buffer.write("## Summary\n\n")
     buffer.write("| experiment | title | headline |\n|---|---|---|\n")
     for experiment_id, result in results.items():
-        headline = result.notes.split(";")[0].split(".")[0][:110] if result.notes else ""
-        buffer.write(f"| `{experiment_id}` | {result.title} | {headline} |\n")
+        buffer.write(
+            f"| `{experiment_id}` | {result.title} | {headline(result.notes)} |\n"
+        )
 
     for experiment_id, result in results.items():
         buffer.write(f"\n---\n\n## {experiment_id}: {result.title}\n\n")

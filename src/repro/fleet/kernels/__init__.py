@@ -11,7 +11,8 @@ The package owns the execution-only ``kernel`` axis
   under :data:`COMPILE_SECONDS_COUNTER`) so the first real rack is
   never silently JIT-stalled;
 * :func:`pool_initializer` is the picklable hook worker pools run at
-  fork so the warm-up happens in every worker, not the parent;
+  fork so the warm-up happens in every worker, not the parent (and an
+  allocation tracer inherited from the parent is switched off there);
 * :func:`consume_pending` drains counters staged where no
   :class:`~repro.obs.metrics.Metrics` was in scope (import time,
   pool initializers) into the caller's metrics.
@@ -20,6 +21,7 @@ The package owns the execution-only ``kernel`` axis
 from __future__ import annotations
 
 import logging
+import tracemalloc
 
 import numpy as np
 
@@ -167,6 +169,13 @@ def pool_initializer(kernel_setting: str) -> None:
     pays the compile on its first real task.  Compile time stays staged
     in the worker and is drained into that worker's task metrics by
     :func:`consume_pending`.
+
+    A worker forked while the parent traces allocations (``run
+    --trace-memory``) inherits the tracer; it is stopped here, since
+    the parent's traced peak never counts a child's allocations and
+    tracing would only slow every task several-fold.
     """
+    if tracemalloc.is_tracing():
+        tracemalloc.stop()
     if resolve_kernel(kernel_setting) == "native":
         warm_kernels()

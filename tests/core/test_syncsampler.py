@@ -12,15 +12,27 @@ from repro.errors import SamplerError
 from tests.conftest import make_run
 
 
-def make_host(name: str, buckets: int = 10) -> SampledHost:
+def make_host(
+    name: str, buckets: int = 10, period: float = 60.0, first_start: float = 1e9
+) -> SampledHost:
     sampler = Millisampler(
         RunMetadata(host=name, rack="r0", region="RegA"),
         sampling_interval=1e-3,
         buckets=buckets,
         cpus=1,
     )
-    scheduler = RunScheduler(period=60.0, run_duration=sampler.duration, first_start=1e9)
+    scheduler = RunScheduler(
+        period=period, run_duration=sampler.duration, first_start=first_start
+    )
     return SampledHost(sampler=sampler, scheduler=scheduler, store=HostRunStore(name))
+
+
+def ingress(host: SampledHost, time: float, size: int) -> None:
+    from repro.core.millisampler import Direction, PacketObservation
+
+    host.sampler.observe(PacketObservation(
+        time=time, direction=Direction.INGRESS, size=size, flow_key="f"
+    ))
 
 
 class TestSyncMillisampler:
@@ -156,3 +168,41 @@ class TestSampledHostPolling:
         host.poll(now=1.0)
         host.poll(now=2.0)
         assert len(host.store) == 0
+
+    def test_periodic_run_due_mid_sync_recording_is_skipped(self):
+        """Regression: the scheduler ends the sync run's busy window at
+        its scheduled start + duration, but the sampler's window opens
+        at the first packet.  A periodic run falling due in that gap
+        must be skipped, not enable() a sampler that is still
+        recording (SamplerError "run already in progress")."""
+        # Periodic run due at 1.015: after the sync run's scheduled end
+        # (1.010), inside its actual window (first packet 1.008 -> 1.018).
+        host = make_host("h0", period=0.05, first_start=1.015)
+        sync = SyncMillisampler()
+        sync_id = sync.request_collection([host], "r0", "RegA", 1.0, now=0.0)
+        host.poll(now=1.0)
+        ingress(host, 1.008, 500)
+        host.poll(now=1.015)  # periodic run falls due mid-recording
+        assert host.sampler.start_time == 1.008
+        ingress(host, 1.016, 700)
+        host.poll(now=1.02)  # window elapsed: the sync run is harvested
+        assert host.sync_run_start(sync_id) == 1.008
+        assert sync.assemble(sync_id).runs[0].in_bytes.sum() == 1200
+        assert len(host.store) == 1
+
+    def test_sync_run_due_mid_periodic_recording_preempts_it(self):
+        """A periodic run that began late (first packet) may still be
+        recording when a sync run falls due; the sync run has priority,
+        so the periodic recording is dropped and the sync run starts."""
+        host = make_host("h0", first_start=0.985)
+        sync = SyncMillisampler()
+        sync_id = sync.request_collection([host], "r0", "RegA", 1.0, now=0.0)
+        host.poll(now=0.985)  # periodic run enabled
+        ingress(host, 0.994, 300)  # ... and starts late, recording to 1.004
+        host.poll(now=1.0)  # sync run falls due: preempts it
+        ingress(host, 1.001, 500)
+        host.poll(now=1.02)
+        run = sync.assemble(sync_id).runs[0]
+        assert run.meta.start_time == 1.001
+        assert run.in_bytes.sum() == 500
+        assert len(host.store) == 1

@@ -121,6 +121,24 @@ class TestRunFailureIsolation:
         assert manifest["status"] == "ok"
         assert manifest["config"]["racks_per_region"] == 2
 
+    def test_trace_memory_is_opt_in(self, tmp_path, capsys):
+        """Allocation peaks land in the manifest only with --trace-memory;
+        the RSS high-water mark is recorded either way."""
+        peaks = {}
+        for flags in ([], ["--trace-memory"]):
+            manifest_path = str(tmp_path / f"manifest{len(flags)}.json")
+            assert cli.main(
+                ["run", "fig1", "--manifest", manifest_path] + flags + FAST_ARGS
+            ) == 0
+            with open(manifest_path) as handle:
+                manifest = json.load(handle)
+            validate_manifest(manifest)
+            (entry,) = manifest["experiments"]
+            assert entry["peak_rss_bytes"] > 0
+            peaks[tuple(flags)] = entry["peak_tracemalloc_bytes"]
+        assert peaks[()] is None
+        assert peaks[("--trace-memory",)] > 0
+
     def test_unknown_experiment_exits_2(self, capsys):
         assert cli.main(["run", "no-such-figure"] + FAST_ARGS) == 2
         assert "unknown experiments" in capsys.readouterr().err

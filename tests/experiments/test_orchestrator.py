@@ -1,5 +1,7 @@
 """Tests for fault-isolated, observable experiment orchestration."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import ConfigError
@@ -37,6 +39,30 @@ def failing_registry(monkeypatch, failing_id, exc=None):
     monkeypatch.setattr(orchestrator, "get_experiment", fake)
 
 
+def probe_registry(monkeypatch, probe_id, body):
+    """Replace one experiment with ``body(ctx) -> metrics`` as a probe."""
+    from repro.experiments.base import ExperimentResult
+    from repro.experiments.registry import get_experiment as real
+
+    def fake(experiment_id):
+        if experiment_id == probe_id:
+            def probe(ctx):
+                return ExperimentResult(
+                    experiment_id=probe_id,
+                    title="probe",
+                    paper_claim="",
+                    metrics=body(ctx),
+                )
+            return probe
+        return real(experiment_id)
+
+    monkeypatch.setattr(orchestrator, "get_experiment", fake)
+
+
+def _worker_is_tracing(_item) -> bool:
+    return tracemalloc.is_tracing()
+
+
 class TestIsolation:
     def test_failure_is_contained_and_suite_completes(self, monkeypatch):
         failing_registry(monkeypatch, "perf")
@@ -67,12 +93,12 @@ class TestIsolation:
         """Regression: the re-raise path returned before the epilogue,
         leaving the process-wide tracer running and leaking its peak
         into every later tracemalloc measurement in the process."""
-        import tracemalloc
-
         assert not tracemalloc.is_tracing()
         failing_registry(monkeypatch, "perf")
         with pytest.raises(RuntimeError, match="injected failure"):
-            run_experiments(tiny_ctx(), ["perf"], on_error="raise")
+            run_experiments(
+                tiny_ctx(), ["perf"], on_error="raise", trace_memory=True
+            )
         assert not tracemalloc.is_tracing()
 
     def test_invalid_on_error_rejected(self):
@@ -86,7 +112,7 @@ class TestIsolation:
 
 class TestOutcomeTelemetry:
     def test_serial_outcomes_carry_timing_and_memory(self):
-        orch = run_experiments(tiny_ctx(), FAST)
+        orch = run_experiments(tiny_ctx(), FAST, trace_memory=True)
         for outcome in orch.outcomes:
             assert outcome.ok
             assert outcome.wall_time_s > 0
@@ -94,6 +120,54 @@ class TestOutcomeTelemetry:
             assert outcome.peak_tracemalloc_bytes > 0
             assert outcome.peak_rss_bytes is not None
             assert outcome.metrics  # headline metrics captured
+
+    def test_untraced_by_default(self, monkeypatch):
+        """The default run leaves allocation tracing off inside the
+        experiment body (so generation there runs at full speed) and
+        reports no traced peak; RSS stays the always-on signal."""
+        assert not tracemalloc.is_tracing()
+        probe_registry(
+            monkeypatch, "fig1",
+            lambda ctx: {"tracing": float(tracemalloc.is_tracing())},
+        )
+        (outcome,) = run_experiments(tiny_ctx(), ["fig1"]).outcomes
+        assert outcome.ok
+        assert outcome.metrics == {"tracing": 0.0}
+        assert outcome.peak_tracemalloc_bytes is None
+        assert outcome.peak_rss_bytes is not None
+
+    def test_traced_run_stops_tracer_in_pool_workers(self, monkeypatch):
+        """Worker processes forked while the parent traces inherit the
+        tracer; the shared pool initializer must switch it off there."""
+        from repro.fleet.kernels import pool_initializer
+        from repro.fleet.parallel import run_windowed
+
+        def body(ctx):
+            seen = []
+            run_windowed(
+                [0, 1, 2, 3],
+                lambda executor, item: executor.submit(_worker_is_tracing, item),
+                lambda _item, tracing: seen.append(tracing),
+                jobs=2,
+                initializer=pool_initializer,
+                initargs=("numpy",),
+            )
+            return {
+                "parent_tracing": float(tracemalloc.is_tracing()),
+                "workers_tracing": float(sum(seen)),
+                "tasks": float(len(seen)),
+            }
+
+        probe_registry(monkeypatch, "fig1", body)
+        (outcome,) = run_experiments(
+            tiny_ctx(), ["fig1"], trace_memory=True
+        ).outcomes
+        assert outcome.ok, outcome.error
+        assert outcome.metrics == {
+            "parent_tracing": 1.0, "workers_tracing": 0.0, "tasks": 4.0,
+        }
+        assert outcome.peak_tracemalloc_bytes is not None
+        assert not tracemalloc.is_tracing()
 
     def test_experiment_spans_recorded(self):
         ctx = tiny_ctx()

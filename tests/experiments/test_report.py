@@ -4,6 +4,8 @@ import pytest
 
 from repro.experiments import orchestrator
 from repro.experiments.report import (
+    HEADLINE_CHARS,
+    headline,
     orchestrate,
     render_markdown,
     run_all,
@@ -38,6 +40,45 @@ class TestReport:
         assert progress_calls == ["fig1"]
         with open(path) as handle:
             assert "fig1" in handle.read()
+
+
+class TestHeadline:
+    """Regression: headlines were cut at the first ".", so REPORT.md
+    said "Pearson r = 0" where the metric was 0.96."""
+
+    @pytest.mark.parametrize(
+        "notes, expected",
+        [
+            ("Pearson r = 0.96. Paper: strong correlation.", "Pearson r = 0.96"),
+            ("mean 0.43, p90 1.5; high-contention run mean 9.1",
+             "mean 0.43, p90 1.5"),
+            ("median 14.5 bursts per run (paper 12.0)",
+             "median 14.5 bursts per run (paper 12.0)"),
+            ("excluded 1.2% of runs.", "excluded 1.2% of runs"),
+            ("version 2.0.1 holds.\nNext line.", "version 2.0.1 holds"),
+            ("", ""),
+        ],
+    )
+    def test_first_clause_keeps_decimals(self, notes, expected):
+        assert headline(notes) == expected
+
+    def test_long_headline_clipped_at_a_word(self):
+        notes = "loss " + " ".join(f"{i}.25" for i in range(60))
+        text = headline(notes)
+        assert text.endswith(" …")
+        assert len(text) <= HEADLINE_CHARS + 2
+        # Every number survives whole.
+        assert all(word.endswith(".25") for word in text.split()[1:-1])
+
+    def test_summary_table_renders_decimals(self, small_ctx):
+        from repro.experiments.base import ExperimentResult
+
+        result = ExperimentResult(
+            experiment_id="fig14", title="t", paper_claim="",
+            notes="Pearson r = 0.96 (paper: positive). Details follow.",
+        )
+        text = render_markdown({"fig14": result}, small_ctx)
+        assert "| `fig14` | t | Pearson r = 0.96 (paper: positive) |" in text
 
 
 class TestReportFailureIsolation:
