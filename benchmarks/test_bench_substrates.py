@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from repro import units
+from repro.analysis.summary import summarize_run
 from repro.config import FleetConfig
 from repro.core.millisampler import (
     Direction,
@@ -20,6 +21,7 @@ from repro.core.run import RunMetadata
 from repro.core.sketch import hash_flow_keys
 from repro.fleet.buffermodel import FluidBufferModel
 from repro.fleet.dataset import generate_region_dataset
+from repro.fleet.demand import DemandModel
 from repro.fleet.rackrun import RackRunSynthesizer
 from repro.simnet.tcp import DctcpControl, open_connection
 from repro.simnet.topology import build_rack
@@ -230,6 +232,78 @@ def test_bench_rack_run_synthesis(benchmark):
 
     sync_run = benchmark(run)
     assert sync_run.servers == 92
+
+
+def _best_of(rounds, fn):
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_bench_demand_generate(benchmark):
+    """Vectorized demand synthesis vs the historical per-burst loop (the
+    in-test oracle), on the same four 92-server rack runs in one
+    process: outputs bit-identical, >=1.5x faster (an in-run ratio, so
+    it holds on any machine)."""
+    from tests.fleet.test_demand import _generate_reference
+
+    workloads = build_region_workloads(REGION_A, racks=4, rng=np.random.default_rng(1))
+    model = DemandModel()
+
+    def vectorized():
+        return [
+            model.generate(workload, 10, 1850, np.random.default_rng(seed))
+            for seed, workload in enumerate(workloads)
+        ]
+
+    def reference():
+        return [
+            _generate_reference(model, workload, 10, 1850, np.random.default_rng(seed))
+            for seed, workload in enumerate(workloads)
+        ]
+
+    for actual, (demand, connections) in zip(vectorized(), reference()):
+        assert np.array_equal(actual.demand, demand)
+        assert np.array_equal(actual.connections, connections)
+    reference_s = _best_of(3, reference)
+    benchmark.pedantic(vectorized, rounds=3, iterations=1)
+    speedup = reference_s / benchmark.stats.stats.min
+    benchmark.extra_info["reference_s"] = reference_s
+    benchmark.extra_info["speedup"] = speedup
+    assert speedup >= 1.5
+
+
+def test_bench_summarize_matrix(benchmark):
+    """One-pass matrix summarization vs the per-server detect_bursts +
+    annotate_contention loop (the in-test oracle) on the same four
+    synthesized rack runs: identical pickle bytes, >=1.5x faster."""
+    import pickle
+
+    from tests.analysis.test_run_matrices import _reference_summary
+
+    workloads = build_region_workloads(REGION_A, racks=4, rng=np.random.default_rng(1))
+    synthesizer = RackRunSynthesizer()
+    sync_runs = [
+        synthesizer.synthesize(workload, 10, np.random.default_rng(seed))
+        for seed, workload in enumerate(workloads)
+    ]
+
+    def matrix():
+        return [summarize_run(sync_run) for sync_run in sync_runs]
+
+    def reference():
+        return [_reference_summary(sync_run) for sync_run in sync_runs]
+
+    assert pickle.dumps(matrix()) == pickle.dumps(reference())
+    reference_s = _best_of(5, reference)
+    benchmark.pedantic(matrix, rounds=5, iterations=1)
+    speedup = reference_s / benchmark.stats.stats.min
+    benchmark.extra_info["reference_s"] = reference_s
+    benchmark.extra_info["speedup"] = speedup
+    assert speedup >= 1.5
 
 
 def test_bench_region_dataset_generation(benchmark):

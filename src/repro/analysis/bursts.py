@@ -13,6 +13,7 @@ Section 4.6).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -132,6 +133,130 @@ def annotate_contention(
     burst.first_loss_contention = int(contention[loss_bucket])
 
 
+def equal_value_groups(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(value, indices)`` for each distinct value, indices ascending.
+
+    Gathering the rows of one group into a C-contiguous ``(k, L)`` block
+    and reducing along axis 1 reproduces each row's own ``.sum()`` /
+    ``.mean()`` exactly, numpy's pairwise-summation blocks included.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    edges = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    for members in np.split(order, edges):
+        if len(members):
+            yield int(values[members[0]]), members
+
+
+def _window_blocks(
+    server: np.ndarray, start: np.ndarray, length: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(members, rows, cols)`` per distinct window length: fancy
+    indices that gather the windows ``[start, start + length)`` of the
+    ``members`` into one C-contiguous ``(k, length)`` block."""
+    for width, members in equal_value_groups(length):
+        yield members, server[members, None], start[members, None] + np.arange(width)
+
+
+@dataclass(frozen=True)
+class RunMatrices:
+    """A rack run's series stacked as ``(servers, buckets)`` matrices,
+    the input of one vectorized pass of burst detection and
+    summarization."""
+
+    in_bytes: np.ndarray
+    in_retx_bytes: np.ndarray
+    conn_estimate: np.ndarray
+    #: Ingress utilization as a fraction of each server's line rate.
+    utilization: np.ndarray
+    #: Bursty samples: utilization above the threshold.
+    mask: np.ndarray
+    #: Per-bucket contention (the run's ``contention_series``).
+    contention: np.ndarray
+
+    @classmethod
+    def of(
+        cls, sync_run: SyncRun, threshold: float = units.BURST_UTILIZATION_THRESHOLD
+    ) -> "RunMatrices":
+        def stack(name: str) -> np.ndarray:
+            return np.vstack([getattr(run, name) for run in sync_run.runs], dtype=np.float64)
+
+        in_bytes = stack("in_bytes")
+        capacity = np.array(
+            [run.meta.line_rate * run.meta.sampling_interval for run in sync_run.runs]
+        )
+        utilization = in_bytes / capacity[:, None]
+        mask = utilization > threshold
+        return cls(
+            in_bytes=in_bytes,
+            in_retx_bytes=stack("in_retx_bytes"),
+            conn_estimate=stack("conn_estimate"),
+            utilization=utilization,
+            mask=mask,
+            contention=mask.sum(axis=0),
+        )
+
+    def bursts(self, loss_lag_buckets: int = 2) -> list[Burst]:
+        """Every server's bursts, in (server, start) order, annotated
+        like :func:`detect_bursts` followed by :func:`annotate_contention`."""
+        if loss_lag_buckets < 0:
+            raise AnalysisError("loss lag cannot be negative")
+        servers, buckets = self.mask.shape
+        padded = np.zeros((servers, buckets + 2), dtype=bool)
+        padded[:, 1:-1] = self.mask
+        server, edges = np.nonzero(padded[:, 1:] != padded[:, :-1])
+        server, start, end = server[0::2], edges[0::2], edges[1::2]
+        count = len(start)
+
+        volume = np.empty(count)
+        avg_connections = np.empty(count)
+        max_contention = np.empty(count, dtype=np.int64)
+        for members, rows, cols in _window_blocks(server, start, end - start):
+            volume[members] = self.in_bytes[rows, cols].sum(axis=1)
+            avg_connections[members] = self.conn_estimate[rows, cols].mean(axis=1)
+            max_contention[members] = self.contention[cols].max(axis=1)
+
+        # Loss window: the repair lag past the burst, clipped at the run's
+        # end and at the same server's next burst.
+        next_start = np.append(np.where(server[1:] == server[:-1], start[1:], buckets), buckets)
+        window_end = np.minimum(end + loss_lag_buckets, next_start)
+        retx = np.empty(count)
+        for members, rows, cols in _window_blocks(server, start, window_end - start):
+            retx[members] = self.in_retx_bytes[rows, cols].sum(axis=1)
+        lossy = retx > 0
+
+        # First-loss contention: the first retransmitting bucket of the
+        # loss window (here not clipped at the next burst), moved back by
+        # the lag and kept inside the burst.
+        first_loss = np.full(count, -1, dtype=np.int64)
+        lossy_server, lossy_start, lossy_end = server[lossy], start[lossy], end[lossy]
+        first_retx = np.empty(len(lossy_start), dtype=np.int64)
+        loss_window = np.minimum(lossy_end + loss_lag_buckets, buckets) - lossy_start
+        for members, rows, cols in _window_blocks(lossy_server, lossy_start, loss_window):
+            first_retx[members] = lossy_start[members] + np.argmax(
+                self.in_retx_bytes[rows, cols] > 0, axis=1
+            )
+        loss_bucket = np.minimum(
+            np.maximum(first_retx - loss_lag_buckets, lossy_start), lossy_end - 1
+        )
+        first_loss[lossy] = self.contention[loss_bucket]
+
+        return [
+            Burst(*fields)
+            for fields in zip(
+                server.tolist(),
+                start.tolist(),
+                (end - start).tolist(),
+                volume.tolist(),
+                avg_connections.tolist(),
+                retx.tolist(),
+                max_contention.tolist(),
+                lossy.tolist(),
+                first_loss.tolist(),
+            )
+        ]
+
+
 def detect_run_bursts(
     sync_run: SyncRun,
     threshold: float = units.BURST_UTILIZATION_THRESHOLD,
@@ -140,14 +265,13 @@ def detect_run_bursts(
     """Detect bursts across every server of a rack run and annotate each
     with the maximum contention over its lifetime (Section 8
     methodology: "we consider the contention level at each sample point
-    of the burst, and take the maximum")."""
-    contention = sync_run.contention_series(threshold)
-    bursts: list[Burst] = []
-    for index, run in enumerate(sync_run.runs):
-        for burst in detect_bursts(run, threshold, loss_lag_buckets, server=index):
-            annotate_contention(burst, run, contention, loss_lag_buckets)
-            bursts.append(burst)
-    return bursts
+    of the burst, and take the maximum") and its first-loss contention.
+
+    One pass over the run's ``(servers, buckets)`` matrices; the result
+    equals :func:`detect_bursts` plus :func:`annotate_contention` per
+    server, value for value.
+    """
+    return RunMatrices.of(sync_run, threshold).bursts(loss_lag_buckets)
 
 
 def burst_frequency(bursts: list[Burst], duration_s: float) -> float:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 
 from .. import units
 from ..core.run import SyncRun
 from ..errors import AnalysisError
-from .bursts import Burst, annotate_contention, detect_bursts
+from .bursts import Burst, RunMatrices, equal_value_groups
 from .contention import ContentionStats, contention_stats
 
 
@@ -75,42 +76,72 @@ def summarize_run(
     """Reduce one rack run to its :class:`RunSummary`."""
     if sync_run.buckets == 0:
         raise AnalysisError("cannot summarize an empty run")
-    contention = sync_run.contention_series(threshold)
-    stats = contention_stats(contention)
+    matrices = RunMatrices.of(sync_run, threshold)
+    all_bursts = matrices.bursts(loss_lag_buckets)
+    stats = contention_stats(matrices.contention)
     duration = sync_run.duration
 
-    all_bursts: list[Burst] = []
-    server_stats: list[ServerRunStats] = []
-    for index, run in enumerate(sync_run.runs):
-        bursts = detect_bursts(run, threshold, loss_lag_buckets, server=index)
-        for burst in bursts:
-            annotate_contention(burst, run, contention, loss_lag_buckets)
-        all_bursts.extend(bursts)
+    # Per-server aggregates, one block per bursty-sample count: the rows
+    # of a group share their inside/outside lengths, so each masked
+    # selection reshapes into a (k, length) block whose row reductions
+    # equal the per-server ones exactly (see equal_value_groups).
+    utilization, mask, conns = matrices.utilization, matrices.mask, matrices.conn_estimate
+    servers, buckets = mask.shape
+    rising = mask.copy()
+    rising[:, 1:] &= ~mask[:, :-1]
+    burst_counts = rising.sum(axis=1)
+    inside_counts = mask.sum(axis=1)
+    inside_util = np.full(servers, np.nan)
+    outside_util = np.full(servers, np.nan)
+    inside_conns = np.full(servers, np.nan)
+    outside_conns = np.full(servers, np.nan)
+    in_burst = np.zeros(servers)
+    for inside, rows in equal_value_groups(inside_counts):
+        group_mask = mask[rows]
+        outside = buckets - inside
+        group_util, group_conns = utilization[rows], conns[rows]
+        if inside:
+            inside_util[rows] = group_util[group_mask].reshape(-1, inside).mean(axis=1)
+            inside_conns[rows] = group_conns[group_mask].reshape(-1, inside).mean(axis=1)
+            in_burst[rows] = (
+                matrices.in_bytes[rows][group_mask].reshape(-1, inside).sum(axis=1)
+            )
+        if outside:
+            outside_util[rows] = group_util[~group_mask].reshape(-1, outside).mean(axis=1)
+            outside_conns[rows] = group_conns[~group_mask].reshape(-1, outside).mean(axis=1)
 
-        utilization = run.ingress_utilization()
-        mask = run.bursty_mask(threshold)
-        inside = utilization[mask]
-        outside = utilization[~mask]
-        conns = run.conn_estimate
-        total_in = float(run.in_bytes.sum())
-        in_burst = float(run.in_bytes[mask].sum())
-        server_stats.append(
-            ServerRunStats(
-                server=index,
-                task=run.meta.task,
-                bursty=bool(mask.any()),
-                avg_utilization=float(utilization.mean()),
-                utilization_in_bursts=float(inside.mean()) if inside.size else float("nan"),
-                utilization_outside_bursts=(
-                    float(outside.mean()) if outside.size else float("nan")
-                ),
-                bursts_per_second=len(bursts) / duration,
-                conns_inside=float(conns[mask].mean()) if mask.any() else float("nan"),
-                conns_outside=float(conns[~mask].mean()) if (~mask).any() else float("nan"),
-                total_in_bytes=total_in,
-                in_burst_bytes=in_burst,
+    server_stats = [
+        ServerRunStats(
+            server=index,
+            task=run.meta.task,
+            bursty=inside > 0,
+            avg_utilization=avg_util,
+            utilization_in_bursts=in_util,
+            utilization_outside_bursts=out_util,
+            bursts_per_second=count / duration,
+            conns_inside=in_conns,
+            conns_outside=out_conns,
+            total_in_bytes=total_in,
+            in_burst_bytes=burst_bytes,
+        )
+        for index, (
+            run, inside, avg_util, in_util, out_util, count, in_conns, out_conns,
+            total_in, burst_bytes,
+        ) in enumerate(
+            zip(
+                sync_run.runs,
+                inside_counts.tolist(),
+                utilization.mean(axis=1).tolist(),
+                inside_util.tolist(),
+                outside_util.tolist(),
+                burst_counts.tolist(),
+                inside_conns.tolist(),
+                outside_conns.tolist(),
+                matrices.in_bytes.sum(axis=1).tolist(),
+                in_burst.tolist(),
             )
         )
+    ]
 
     return RunSummary(
         rack=sync_run.rack,

@@ -94,16 +94,17 @@ class FluidBufferBatchResult:
 
         Runs are independent along the leading axis, so the trimmed
         arrays are exactly what a serial :meth:`FluidBufferModel.run`
-        over that run's demand produces.
+        over that run's demand produces.  They are contiguous views into
+        this batch's arrays, not copies.
         """
         length = int(self.lengths[run])
         return FluidBufferResult(
-            delivered=self.delivered[run, :length].copy(),
-            delivered_retx=self.delivered_retx[run, :length].copy(),
-            ecn_marked=self.ecn_marked[run, :length].copy(),
-            dropped=self.dropped[run, :length].copy(),
-            queue_occupancy=self.queue_occupancy[run, :length].copy(),
-            rate_multiplier=self.rate_multiplier[run, :length].copy(),
+            delivered=self.delivered[run, :length],
+            delivered_retx=self.delivered_retx[run, :length],
+            ecn_marked=self.ecn_marked[run, :length],
+            dropped=self.dropped[run, :length],
+            queue_occupancy=self.queue_occupancy[run, :length],
+            rate_multiplier=self.rate_multiplier[run, :length],
         )
 
 

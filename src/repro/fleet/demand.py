@@ -27,6 +27,7 @@ run-to-run variation behind Figures 12 and 15.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,12 @@ class ServerDemand:
     #: Initial DCTCP EWMA mark fraction (warm for persistent services,
     #: whose connections predate the run).
     initial_alpha: np.ndarray
+
+
+def _libm_exp(values: np.ndarray) -> np.ndarray:
+    """``exp`` of each element through libm, as the generator's own
+    lognormal draws compute it."""
+    return np.array(list(map(math.exp, values.tolist())))
 
 
 class DemandModel:
@@ -82,10 +89,8 @@ class DemandModel:
         self.drain = line_rate * step
         self.overshoot_scale = overshoot_scale
         self.overshoot_buckets = overshoot_buckets
-        # Geometric decay of the overshoot region; constant per model,
-        # hoisted out of the per-burst profile call (plain floats: the
-        # profile's hot path is scalar arithmetic).
-        self._decay_powers = [0.5**bucket for bucket in range(overshoot_buckets)]
+        # Geometric decay of the overshoot region; constant per model.
+        self._decay_powers = np.array([0.5**bucket for bucket in range(overshoot_buckets)])
         self.shared_task_sync = shared_task_sync
         self.rack_sync = rack_sync
         self.rate_tail_sigma = rate_tail_sigma
@@ -93,74 +98,84 @@ class DemandModel:
 
     # -- burst primitives ----------------------------------------------------
 
-    def _burst_profile(
-        self, volume: float, intensity: float, overshoot: float
-    ) -> np.ndarray:
-        """Byte arrivals per bucket for one burst of ``volume`` bytes.
+    def _burst_profiles(
+        self, volume: np.ndarray, intensity: np.ndarray, overshoot: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Byte arrivals per bucket for a batch of bursts.
 
-        The first ``overshoot_buckets`` buckets carry the geometrically
-        decaying overshoot (``0.5**bucket``) on top of the constant body
-        rate, then the body rate runs until the volume is spent.
+        Returns every burst's profile concatenated in (burst, bucket)
+        order, and each profile's length.  A burst's first
+        ``overshoot_buckets`` buckets carry the geometrically decaying
+        overshoot (``0.5**bucket``) on top of the constant body rate,
+        then the body rate runs until the volume is spent; a burst with
+        no volume has an empty profile.
 
-        Two regimes, both bit-identical to the historical bucket-by-
-        bucket loop: the overshoot region plus a few body buckets run as
-        scalar arithmetic (the median burst is one or two buckets, where
-        array allocation costs more than it saves), and anything longer
-        finishes in one ``np.subtract.accumulate`` over the constant
-        body rate — the same left-to-right subtraction order, so the
-        final partial bucket holds the identical floating-point
-        remainder.
+        Bit-identical to the historical bucket-by-bucket loop: the
+        overshoot head plus a few body buckets run as one column pass
+        over all bursts (the median burst is one or two buckets), and
+        the rare longer burst finishes in one ``np.subtract.accumulate``
+        over its constant body rate — the same left-to-right
+        subtraction order, so every bucket, including the final partial
+        one, holds the identical floating-point value.
         """
-        if volume <= 0:
-            return np.zeros(0)
-        body_rate = intensity * self.drain
+        volume = np.asarray(volume, dtype=np.float64)
+        body_rate = np.asarray(intensity, dtype=np.float64) * self.drain
+        overshoot = np.asarray(overshoot, dtype=np.float64)
         over = self.overshoot_buckets
-
-        # Scalar regime: the decaying head and the first few body
-        # buckets, exactly as the historical loop wrote them.
         head_limit = over + 8
-        head: list[float] = []
-        remaining = volume
-        bucket = 0
-        while remaining > 0 and bucket < head_limit:
-            if bucket < over:
-                rate = body_rate * (1.0 + (overshoot - 1.0) * self._decay_powers[bucket])
-            else:
-                rate = body_rate
-            take = min(remaining, rate)
-            head.append(take)
-            remaining -= take
-            bucket += 1
-        if remaining <= 0:
-            return np.array(head)
 
-        # Vectorized regime: every further bucket drains body_rate, so
-        # the rest of the sequential subtraction collapses into one
-        # accumulate.  ceil(remaining / body_rate) + slack bounds the
-        # length; the historical loop's runaway guard capped profiles at
-        # 10_000 buckets, so never search further than that.
-        if body_rate > 0:
-            tail_estimate = int(np.ceil(remaining / body_rate)) + 2
-        else:
-            tail_estimate = 10_001
-        tail_buckets = min(10_001, max(tail_estimate, 0))
-        # tail[k] = bytes left after k more body buckets, subtracted in
-        # the same left-to-right order as the historical loop (the final
-        # partial bucket is that sequence's exact remainder).
-        tail = np.empty(1 + tail_buckets)
-        tail[0] = remaining
-        tail[1:] = body_rate
-        np.subtract.accumulate(tail, out=tail)
-        exhausted = np.nonzero(tail <= 0)[0]
-        if len(exhausted) == 0 or head_limit + exhausted[0] > 10_000:
+        rates = np.empty((len(volume), head_limit))
+        rates[:] = body_rate[:, None]
+        rates[:, :over] = body_rate[:, None] * (
+            1.0 + (overshoot - 1.0)[:, None] * self._decay_powers
+        )
+        head = np.empty_like(rates)
+        remaining = volume.copy()
+        alive = remaining > 0
+        lengths = np.zeros(len(volume), dtype=np.int64)
+        for bucket in range(head_limit):
+            take = np.minimum(remaining, rates[:, bucket])
+            head[:, bucket] = take
+            remaining -= take
+            lengths += alive
+            alive &= remaining > 0
+
+        # Bursts still holding bytes past the head drain body_rate per
+        # bucket.  ceil(remaining / body_rate) + slack bounds the tail;
+        # the historical loop's runaway guard capped profiles at 10_000
+        # buckets, so never search further than that.
+        tails: dict[int, np.ndarray] = {}
+        for index in np.flatnonzero(alive).tolist():
+            rate = float(body_rate[index])
+            if rate > 0:
+                tail_estimate = int(np.ceil(remaining[index] / rate)) + 2
+            else:
+                tail_estimate = 10_001
+            tail = np.empty(1 + min(10_001, max(tail_estimate, 0)))
+            tail[0] = remaining[index]
+            tail[1:] = rate
+            # tail[k] = bytes left after k more body buckets.
+            np.subtract.accumulate(tail, out=tail)
+            exhausted = np.flatnonzero(tail <= 0)
+            if len(exhausted) == 0:
+                raise SimulationError("burst profile failed to terminate")
+            tail_buckets = int(exhausted[0])
+            profile = np.full(tail_buckets, rate)
+            # The last bucket takes whatever the sequential subtraction left.
+            profile[-1] = tail[tail_buckets - 1]
+            tails[index] = profile
+            lengths[index] += tail_buckets
+        if len(lengths) and lengths.max() > 10_000:
             raise SimulationError("burst profile failed to terminate")
-        buckets = int(exhausted[0])
-        profile = np.empty(head_limit + buckets)
-        profile[:head_limit] = head
-        profile[head_limit:] = body_rate
-        # The last bucket takes whatever the sequential subtraction left.
-        profile[-1] = tail[buckets - 1]
-        return profile
+
+        head_mask = np.arange(head_limit) < lengths[:, None]
+        offsets = np.cumsum(lengths) - lengths
+        values = np.empty(int(lengths.sum()))
+        values[(offsets[:, None] + np.arange(head_limit))[head_mask]] = head[head_mask]
+        for index, profile in tails.items():
+            start = offsets[index] + head_limit
+            values[start : start + len(profile)] = profile
+        return values, lengths
 
     def _draw_burst_starts(
         self,
@@ -222,16 +237,60 @@ class DemandModel:
                 / (spec.burst_intensity_mean * self.drain)
             ),
         )
-        ordered = np.sort(starts)
-        serialized = []
-        next_free = 0
-        for start in ordered:
-            start = max(int(start), next_free)
-            if start >= buckets:
-                break
-            serialized.append(start)
-            next_free = start + typical_length
-        return np.array(serialized, dtype=np.int64)
+        # serialized[i] = max(ordered[i], serialized[i-1] + L): an exact
+        # integer max-plus scan, L*i + max_{j<=i}(ordered[j] - L*j).
+        ordered = np.sort(starts).astype(np.int64)
+        shift = typical_length * np.arange(len(ordered), dtype=np.int64)
+        serialized = shift + np.maximum.accumulate(ordered - shift)
+        # Non-decreasing, so the starts inside the run are a prefix.
+        return serialized[: np.searchsorted(serialized, buckets)]
+
+    def _add_bursts(
+        self,
+        demand: np.ndarray,
+        connections: np.ndarray,
+        server_bursts: list[tuple[int, np.ndarray, np.ndarray, tuple[float, ...]]],
+    ) -> None:
+        """Add every burst of a rack run to its ``(buckets, servers)``
+        demand and connection matrices in place.
+
+        ``server_bursts`` holds, per active server in generation order,
+        its index, its k burst starts, its ``(k, 4)`` standard-normal
+        draws and its burst parameters (volume log-mu and log-sigma,
+        intensity mean and std, connections, overshoot scale).
+
+        The affine parts of the lognormal/normal draws run in numpy (the
+        generator computes ``loc + scale * z`` the same way), but every
+        ``exp`` goes through libm one element at a time: vectorized
+        ``np.exp`` differs from libm in the last bit on a few percent of
+        values, which would change the data.
+        """
+        servers_index, burst_starts, draws, params = zip(*server_bursts)
+        counts = [len(starts) for starts in burst_starts]
+        z = np.concatenate(draws)
+        mu, sigma, intensity_mean, intensity_std, conns, scale = np.repeat(
+            np.array(params), counts, axis=0
+        ).T
+        volume = _libm_exp(mu + sigma * z[:, 0])
+        intensity = np.minimum(np.maximum(intensity_mean + intensity_std * z[:, 1], 0.55), 1.25)
+        fanin = np.maximum(1.0, conns * _libm_exp(0.35 * z[:, 2]))
+        overshoot = 1.0 + scale * (fanin / 40.0) * _libm_exp(0.5 * z[:, 3])
+        values, lengths = self._burst_profiles(volume, intensity, overshoot)
+
+        # Scatter each profile, cut at the run's end, onto its server's
+        # column.  ufunc.at applies repeated cells in index order, and the
+        # entries are in (burst, bucket) order, so overlapping bursts sum
+        # in the same order as one += per burst.
+        buckets, servers = demand.shape
+        starts = np.concatenate(burst_starts)
+        server = np.repeat(np.array(servers_index), counts)
+        entry = np.repeat(np.arange(len(lengths)), lengths)
+        offset = np.arange(len(values)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        keep = offset < (buckets - starts)[entry]
+        entry = entry[keep]
+        cells = (starts[entry] + offset[keep]) * servers + server[entry]
+        np.add.at(demand.reshape(-1), cells, values[keep])
+        np.maximum.at(connections.reshape(-1), cells, fanin[entry])
 
     # -- rack-level generation ---------------------------------------------
 
@@ -271,6 +330,10 @@ class DemandModel:
         # and sometimes hot (Section 7.3's 6.2% zero-activity runs, and
         # the day-long min/max bands of Figure 12).
         rack_load = float(rng.lognormal(mean=-0.1, sigma=0.45))
+
+        # Per active server: its index, burst starts, burst draws and
+        # burst parameters (see _add_bursts).
+        server_bursts: list[tuple[int, np.ndarray, np.ndarray, tuple[float, ...]]] = []
 
         for index in range(servers):
             spec = placement.services[index]
@@ -328,41 +391,29 @@ class DemandModel:
                 # Fresh request/response fan-in does stack — that *is*
                 # incast, and it is where the overshoot loss lives.
                 starts = self._serialize_starts(starts, spec, buckets)
-            for start in starts:
-                volume = rng.lognormal(
-                    spec.burst_volume_log_mu, spec.burst_volume_log_sigma
-                )
-                intensity = float(
-                    min(
-                        max(
-                            rng.normal(
-                                spec.burst_intensity_mean, spec.burst_intensity_std
-                            ),
-                            0.55,
-                        ),
-                        1.25,
-                    )
-                )
-                fanin = max(
-                    1.0, spec.burst_connections * rng.lognormal(mean=0.0, sigma=0.35)
-                )
-                # Slow-start overshoot: fresh senders ramp exponentially
-                # and overshoot together; adapted long-lived connection
-                # pools (persistent services) pace near their converged
-                # windows and barely overshoot.
-                scale = self.overshoot_scale * (0.15 if persistent_senders else 1.0)
-                overshoot = 1.0 + scale * (fanin / 40.0) * rng.lognormal(
-                    mean=0.0, sigma=0.5
-                )
-                profile = self._burst_profile(volume, intensity, overshoot)
-                end = min(int(start) + len(profile), buckets)
-                span = end - int(start)
-                if span <= 0:
-                    continue
-                demand[int(start) : end, index] += profile[:span]
-                connections[int(start) : end, index] = np.maximum(
-                    connections[int(start) : end, index], fanin
-                )
+            if len(starts) == 0:
+                continue
+            # Each burst's four draws (volume, body intensity, fan-in,
+            # overshoot), in the generator's stream order: one (k, 4)
+            # block is the same stream as k rounds of four scalar draws.
+            draws = rng.standard_normal((len(starts), 4))
+            # Slow-start overshoot: fresh senders ramp exponentially and
+            # overshoot together; adapted long-lived connection pools
+            # (persistent services) pace near their converged windows
+            # and barely overshoot.
+            overshoot_scale = self.overshoot_scale * (0.15 if persistent_senders else 1.0)
+            params = (
+                spec.burst_volume_log_mu,
+                spec.burst_volume_log_sigma,
+                spec.burst_intensity_mean,
+                spec.burst_intensity_std,
+                spec.burst_connections,
+                overshoot_scale,
+            )
+            server_bursts.append((index, starts, draws, params))
+
+        if server_bursts:
+            self._add_bursts(demand, connections, server_bursts)
 
         return ServerDemand(
             demand=demand,

@@ -110,9 +110,6 @@ class RackRunSynthesizer:
         if not 0 <= hour < 24:
             raise SimulationError("hour must be in [0, 24)")
         buckets = buckets if buckets is not None else self._run_length(rng)
-        servers = workload.placement.servers
-        line_rate = workload.rack_config.server_link_rate
-
         demand = self.demand_model.generate(workload, hour, buckets, rng)
         fluid = self._fluid_model(workload)
         result = fluid.run(
@@ -169,35 +166,44 @@ class RackRunSynthesizer:
         echo) in the same order as the pre-batch serial path, so batched
         and serial synthesis are byte-identical per seed leaf.
         """
-        servers = workload.placement.servers
         line_rate = workload.rack_config.server_link_rate
         conn = sketch_estimates(demand.connections, rng)
         out_bytes = self.egress_echo * result.delivered * rng.lognormal(
             mean=-0.05, sigma=0.3, size=result.delivered.shape
         )
 
-        runs: list[MillisamplerRun] = []
-        for index in range(servers):
-            meta = RunMetadata(
-                host=f"{workload.rack}-s{index}",
-                rack=workload.rack,
-                region=workload.region,
-                task=workload.placement.tasks[index],
-                start_time=start_time,
-                sampling_interval=self.sampling_interval,
-                line_rate=line_rate,
+        # One contiguous (servers, buckets) transpose per series; every
+        # server's run holds row views of them.
+        series = [
+            np.ascontiguousarray(matrix.T)
+            for matrix in (
+                result.delivered, out_bytes, result.delivered_retx,
+                result.ecn_marked, conn,
             )
-            runs.append(
-                MillisamplerRun(
-                    meta=meta,
-                    in_bytes=result.delivered[:, index].copy(),
-                    out_bytes=out_bytes[:, index].copy(),
-                    in_retx_bytes=result.delivered_retx[:, index].copy(),
-                    out_retx_bytes=np.zeros(buckets),
-                    in_ecn_bytes=result.ecn_marked[:, index].copy(),
-                    conn_estimate=conn[:, index].copy(),
-                )
+        ]
+        out_retx = np.zeros((len(series[0]), buckets))
+        runs = [
+            MillisamplerRun(
+                meta=RunMetadata(
+                    host=f"{workload.rack}-s{index}",
+                    rack=workload.rack,
+                    region=workload.region,
+                    task=task,
+                    start_time=start_time,
+                    sampling_interval=self.sampling_interval,
+                    line_rate=line_rate,
+                ),
+                in_bytes=in_bytes,
+                out_bytes=out,
+                in_retx_bytes=in_retx,
+                out_retx_bytes=zeros,
+                in_ecn_bytes=ecn,
+                conn_estimate=conns,
             )
+            for index, (task, in_bytes, out, in_retx, ecn, conns, zeros) in enumerate(
+                zip(workload.placement.tasks, *series, out_retx)
+            )
+        ]
 
         return SyncRun(
             rack=workload.rack,
