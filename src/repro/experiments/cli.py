@@ -211,13 +211,6 @@ def _add_generation_args(parser: argparse.ArgumentParser) -> None:
         help="hours per shard for --store-dir (default 12)",
     )
     parser.add_argument(
-        "--shm-transfer", action="store_true",
-        help="return worker results through a shared-memory segment "
-             "instead of pickling them over the pool's result pipe; "
-             "bit-identical to the default pickled transport (which "
-             "remains the exactness oracle), cheaper at scale",
-    )
-    parser.add_argument(
         "--kernel", choices=KERNEL_CHOICES, default="auto",
         help="fluid-model kernel: 'native' is the numba-jitted time "
              "loop, 'numpy' the vectorized oracle, 'auto' (default) "
@@ -322,7 +315,6 @@ def _context(args, verbose: bool = False) -> ExperimentContext:
             runs_per_rack=args.runs_per_rack,
             seed=args.seed,
             jobs=args.jobs,
-            shm_transfer=getattr(args, "shm_transfer", False),
             kernel=getattr(args, "kernel", "auto"),
             **({"policy": policy} if policy is not None else {}),
         ),
@@ -373,7 +365,6 @@ def _serve(args) -> int:
                 runs_per_rack=args.runs_per_rack,
                 seed=args.seed,
                 jobs=args.jobs,
-                shm_transfer=args.shm_transfer,
                 kernel=getattr(args, "kernel", "auto"),
                 **({"policy": args.policy} if args.policy is not None else {}),
             ),

@@ -1,8 +1,10 @@
 """Native (numba-jitted) fluid DCTCP + shared-buffer time loop.
 
-This is :meth:`repro.fleet.buffermodel.FluidBufferModel.run_batch`
-compiled down to two scalar loops per bucket, with the numpy
-implementation kept as the bit-exactness oracle.  The contract is
+This is the time loop of
+:meth:`repro.fleet.buffermodel.FluidBufferModel.run_batch` — the
+model's one time loop; a single ``run`` is a batch of one — compiled
+down to two scalar loops per bucket, with the numpy loop kept as the
+bit-exactness oracle.  The contract is
 *exact* ``==`` equality, not ``allclose``, so every operation here
 mirrors the numpy expression it replaces operation-for-operation:
 

@@ -54,14 +54,6 @@ class SharingPolicy:
 
     name = "abstract"
 
-    #: True when :meth:`limits` is written with broadcasting-safe ops
-    #: (``[..., quadrant]`` indexing, shape-generic fills) so the batched
-    #: fluid kernel can call it directly on ``(runs, ...)`` arrays.  Every
-    #: built-in policy sets this; third-party policies written against the
-    #: per-run signature keep working through the :meth:`limits_batch`
-    #: fallback loop.
-    batch_limits = False
-
     #: Id of this policy's limit rule in the native (numba-jitted) fluid
     #: kernel (see :func:`repro.fleet.kernels.fluid._policy_limit`), or
     #: ``None`` when the policy has none — the fluid model then runs the
@@ -90,41 +82,15 @@ class SharingPolicy:
         maps servers to quadrants; ``queue_shared_used`` is each queue's
         current shared occupancy; ``active_steps`` counts consecutive
         steps each queue has been non-empty (the mice/elephant signal).
+
+        The rule must be broadcasting-safe: the batched fluid kernel
+        calls it on ``(runs, quadrants)`` pools and ``(runs, servers)``
+        queue arrays (returning ``(runs, servers)``), while the packet
+        buffer calls it on 1-D arrays.  Index with ``[..., quadrant]``
+        and take fill shapes from the inputs (``np.shape(
+        queue_shared_used)[:-1] + (len(quadrant),)``).
         """
         raise NotImplementedError
-
-    def limits_batch(
-        self,
-        shared_total: float,
-        pool_used: np.ndarray,
-        quadrant: np.ndarray,
-        queue_shared_used: np.ndarray,
-        active_steps: np.ndarray,
-    ) -> np.ndarray:
-        """Batched :meth:`limits` over a leading runs axis.
-
-        ``pool_used`` is ``(runs, quadrants)``; ``queue_shared_used`` and
-        ``active_steps`` are ``(runs, servers)``; the result is
-        ``(runs, servers)``.  Policies flagged :attr:`batch_limits` are
-        evaluated in one vectorized call; anything else falls back to one
-        :meth:`limits` call per run, which is exactly equivalent.
-        """
-        if self.batch_limits:
-            return self.limits(
-                shared_total, pool_used, quadrant, queue_shared_used, active_steps
-            )
-        return np.stack(
-            [
-                self.limits(
-                    shared_total,
-                    pool_used[run],
-                    quadrant,
-                    queue_shared_used[run],
-                    active_steps[run],
-                )
-                for run in range(pool_used.shape[0])
-            ]
-        )
 
 
 #: Registered policy classes by :attr:`SharingPolicy.name`.  The
@@ -150,7 +116,6 @@ class DynamicThresholdPolicy(SharingPolicy):
     """The deployed baseline: T = alpha * (B - Q)."""
 
     name = "dynamic-threshold"
-    batch_limits = True
     native_kernel_id = _native.POLICY_DYNAMIC_THRESHOLD
 
     def __init__(self, alpha: float = 1.0) -> None:
@@ -171,7 +136,6 @@ class StaticPartitionPolicy(SharingPolicy):
     """Hard partitioning: every queue owns an equal slice."""
 
     name = "static-partition"
-    batch_limits = True
     native_kernel_id = _native.POLICY_STATIC_PARTITION
 
     def __init__(self, queues_per_quadrant: int) -> None:
@@ -193,7 +157,6 @@ class CompleteSharingPolicy(SharingPolicy):
     """No per-queue limit: admit until the pool is physically full."""
 
     name = "complete-sharing"
-    batch_limits = True
     native_kernel_id = _native.POLICY_COMPLETE_SHARING
 
     def limits(self, shared_total, pool_used, quadrant, queue_shared_used, active_steps):
@@ -212,7 +175,6 @@ class EnhancedDynamicThresholdPolicy(SharingPolicy):
     """
 
     name = "enhanced-dt"
-    batch_limits = True
     native_kernel_id = _native.POLICY_ENHANCED_DT
 
     def __init__(self, alpha: float = 1.0, burst_fraction: float = 0.5) -> None:
@@ -246,7 +208,6 @@ class FlowAwareThresholdPolicy(SharingPolicy):
     """
 
     name = "flow-aware"
-    batch_limits = True
     native_kernel_id = _native.POLICY_FLOW_AWARE
 
     def __init__(
@@ -298,7 +259,6 @@ class DelayDrivenSharingPolicy(SharingPolicy):
     """
 
     name = "delay-driven"
-    batch_limits = True
     native_kernel_id = _native.POLICY_DELAY_DRIVEN
 
     def __init__(
@@ -360,7 +320,6 @@ class SharedHeadroomPoolPolicy(SharingPolicy):
     """
 
     name = "shared-headroom"
-    batch_limits = True
     native_kernel_id = _native.POLICY_SHARED_HEADROOM
 
     def __init__(

@@ -1,9 +1,10 @@
 """Batched fluid kernel: exact equivalence with the serial reference.
 
-The batch path is an optimization, not a remodel — ``run_batch`` must
-produce bit-identical outputs to stacking per-run ``run()`` results,
-for every sharing policy and for ragged run lengths.  These tests are
-the contract that keeps the two code paths interchangeable.
+``run_batch`` is the fluid model's one time loop.  Batching is an
+optimization, not a remodel: it must produce bit-identical outputs to
+stacking per-run results of the serial oracle in
+:mod:`tests.fleet._serial_reference`, for every sharing policy and for
+ragged run lengths.
 """
 
 import numpy as np
@@ -12,11 +13,9 @@ import pytest
 from repro import units
 from repro.errors import SimulationError
 from repro.fleet.buffermodel import FluidBufferModel
-from repro.fleet.policies import (
-    SharingPolicy,
-    build_policy,
-    registered_policy_specs,
-)
+from repro.fleet.policies import build_policy, registered_policy_specs
+
+from ._serial_reference import serial_run
 
 DRAIN = units.SERVER_LINK_RATE * units.ANALYSIS_INTERVAL
 
@@ -63,13 +62,17 @@ class TestBatchEquivalence:
             demand, persistence, initial_multiplier=multiplier, initial_alpha=alpha
         )
         for run in range(demand.shape[0]):
-            serial = model.run(
+            serial = serial_run(
+                model,
                 demand[run],
                 persistence[run],
                 initial_multiplier=multiplier[run],
                 initial_alpha=alpha[run],
             )
             assert_result_equal(serial, batch.per_run(run), type(policy).__name__)
+            # ``run`` is a batch of one and must match the oracle too.
+            single = model.run(demand[run], persistence[run], multiplier[run], alpha[run])
+            assert_result_equal(serial, single, type(policy).__name__)
 
     def test_ragged_lengths_match_serial(self, rng):
         """Padding a short run with zero demand must not change it."""
@@ -87,7 +90,8 @@ class TestBatchEquivalence:
             lengths=lengths,
         )
         for run, length in enumerate(lengths):
-            serial = model.run(
+            serial = serial_run(
+                model,
                 demand[run, :length],
                 persistence[run],
                 initial_multiplier=multiplier[run],
@@ -103,7 +107,7 @@ class TestBatchEquivalence:
         persistence = rng.uniform(0, 1, size=(3, 3))
         batch = model.run_batch(demand, persistence)
         for run in range(3):
-            serial = model.run(demand[run], persistence[run])
+            serial = serial_run(model, demand[run], persistence[run])
             assert_result_equal(serial, batch.per_run(run))
 
     def test_shared_initial_state_broadcasts(self, rng):
@@ -114,34 +118,8 @@ class TestBatchEquivalence:
         multiplier = rng.uniform(0.4, 1.0, size=3)
         batch = model.run_batch(demand, persistence, initial_multiplier=multiplier)
         for run in range(2):
-            serial = model.run(demand[run], persistence[run], initial_multiplier=multiplier)
+            serial = serial_run(model, demand[run], persistence[run], initial_multiplier=multiplier)
             assert_result_equal(serial, batch.per_run(run))
-
-    def test_fallback_policy_without_batch_limits(self, rng):
-        """A policy that never opted into the batch-aware path still
-        works via the per-run stacking fallback — and still matches."""
-
-        class LoopedThreshold(SharingPolicy):
-            name = "looped-dt"
-
-            def limits(self, shared_total, pool_used, quadrant, queue_shared_used, active):
-                free = np.maximum(shared_total - pool_used, 0.0)
-                return 0.5 * free[quadrant]
-
-        assert LoopedThreshold.batch_limits is False
-        model = FluidBufferModel(servers=4, policy=LoopedThreshold())
-        demand, persistence, multiplier, alpha = make_batch(rng, runs=3, servers=4)
-        batch = model.run_batch(
-            demand, persistence, initial_multiplier=multiplier, initial_alpha=alpha
-        )
-        for run in range(3):
-            serial = model.run(
-                demand[run],
-                persistence[run],
-                initial_multiplier=multiplier[run],
-                initial_alpha=alpha[run],
-            )
-            assert_result_equal(serial, batch.per_run(run), "fallback")
 
 
 class TestBatchValidation:

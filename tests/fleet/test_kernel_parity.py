@@ -153,7 +153,6 @@ def test_unregistered_policy_falls_back_to_numpy():
 
     class HalfPoolPolicy(SharingPolicy):
         name = "half-pool-test"
-        batch_limits = True
 
         def limits(self, shared_total, pool_used, quadrant,
                    queue_shared_used, active_steps):

@@ -103,8 +103,6 @@ class TestRegistry:
         policy = build_policy(spec, queues_per_quadrant=4)
         assert isinstance(policy, SharingPolicy)
         assert policy.name == spec.name
-        # Every built-in ships a vectorized batch kernel.
-        assert policy.batch_limits is True
 
     def test_build_unknown_name_rejected(self):
         with pytest.raises(ConfigError, match="unknown sharing policy"):
@@ -223,8 +221,9 @@ class TestSharedHeadroomRule:
 
 
 class TestBatchKernelIdentity:
-    """Each policy's vectorized ``limits_batch`` must be bit-identical to
-    the per-run fallback loop (the acceptance bar for ``batch_limits``)."""
+    """Each policy's ``limits`` is broadcasting-safe: one call on
+    ``(runs, ...)`` arrays must be bit-identical to stacking one 1-D
+    call per run (the batched fluid kernel relies on this)."""
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     def test_batch_matches_serial_loop(self, spec, rng):
@@ -238,7 +237,7 @@ class TestBatchKernelIdentity:
         queue_shared = rng.uniform(0, shared_total / servers, size=(runs, servers))
         active = rng.integers(0, 12, size=(runs, servers)).astype(np.float64)
 
-        batched = policy.limits_batch(
+        batched = policy.limits(
             shared_total, pool_used, quadrant, queue_shared, active
         )
         looped = np.stack(
@@ -251,22 +250,3 @@ class TestBatchKernelIdentity:
         )
         assert batched.shape == (runs, servers)
         assert np.array_equal(batched, looped), spec.name
-
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
-    def test_base_fallback_agrees_when_flag_forced_off(self, spec, rng):
-        """Flipping ``batch_limits`` off must not change a policy's
-        numbers — the flag selects an implementation, not a model."""
-        policy = build_policy(spec, queues_per_quadrant=3)
-        shared_total = 1e6
-        quadrant = np.array([0, 0, 1, 1, 2, 2])
-        pool_used = rng.uniform(0, shared_total, size=(4, 3))
-        queue_shared = rng.uniform(0, shared_total / 6, size=(4, 6))
-        active = rng.integers(0, 9, size=(4, 6)).astype(np.float64)
-        fast = policy.limits_batch(
-            shared_total, pool_used, quadrant, queue_shared, active
-        )
-        policy.batch_limits = False
-        slow = policy.limits_batch(
-            shared_total, pool_used, quadrant, queue_shared, active
-        )
-        assert np.array_equal(fast, slow), spec.name
