@@ -215,11 +215,79 @@ def test_bench_sampler_observe_batch(benchmark):
     batched = benchmark(run_batch)
     batch_s = benchmark.stats.stats.mean
 
+    from tests.core._scalar_observe_reference import folded_sketch_words
+
     assert batched.stats.packets_processed == scalar.stats.packets_processed
-    assert np.array_equal(batched._sketch_words, scalar._sketch_words)
+    assert np.array_equal(folded_sketch_words(batched), folded_sketch_words(scalar))
     benchmark.extra_info["scalar_s"] = scalar_s
     benchmark.extra_info["speedup"] = scalar_s / batch_s
     assert scalar_s / batch_s >= 5.0
+
+
+def test_bench_sampler_tap(benchmark):
+    """60k simulator packets through MillisamplerTap.on_packet vs the
+    historical tap (one PacketObservation per packet into the eager
+    numpy-scalar observe; the in-test oracle): identical runs and
+    per-CPU state, >=1.5x faster (an in-run ratio)."""
+    from repro.simnet.clock import HostClock
+    from repro.simnet.packet import FlowKey, Packet
+    from repro.simnet.tap import MillisamplerTap
+    from tests.core._scalar_observe_reference import (
+        ReferenceTap,
+        ScalarObserveReference,
+        assert_same_sampler_state,
+    )
+
+    count = 60_000
+    rng = np.random.default_rng(5)
+    flows = [FlowKey(f"h{i}", "h0", 40000 + i, 5001) for i in range(48)]
+    stream = [
+        (
+            Packet(
+                src=flows[flow].src,
+                dst=flows[flow].dst,
+                size=int(rng.integers(64, 65536)),
+                flow=flows[flow],
+                ecn_ce=bool(rng.random() < 0.2),
+                retransmit=bool(rng.random() < 0.05),
+            ),
+            Direction.INGRESS if rng.random() < 0.7 else Direction.EGRESS,
+            float(now),
+        )
+        for flow, now in zip(
+            rng.integers(0, len(flows), count), np.sort(rng.uniform(0, 1.8, count))
+        )
+    ]
+    clock = HostClock(offset=1e-4, drift_ppm=2.0)
+
+    def push(sampler_cls, tap_cls):
+        sampler = sampler_cls(RunMetadata(host="bench"), buckets=1850, cpus=8)
+        sampler.attach()
+        sampler.enable()
+        on_packet = tap_cls(sampler, clock).on_packet
+        for packet, direction, now in stream:
+            on_packet(packet, direction, now)
+        sampler.finish(now=10.0)
+        return sampler, sampler.read_run()
+
+    def reference():
+        return push(ScalarObserveReference, ReferenceTap)
+
+    def tap():
+        return push(Millisampler, MillisamplerTap)
+
+    (expected, expected_run), (actual, actual_run) = reference(), tap()
+    assert actual.stats.packets_processed == count
+    for field in ("in_bytes", "out_bytes", "in_retx_bytes", "out_retx_bytes",
+                  "in_ecn_bytes", "conn_estimate"):
+        assert getattr(actual_run, field).tobytes() == getattr(expected_run, field).tobytes()
+    assert_same_sampler_state(expected, actual)
+    reference_s = _best_of(3, reference)
+    benchmark.pedantic(tap, rounds=3, iterations=1)
+    speedup = reference_s / benchmark.stats.stats.min
+    benchmark.extra_info["reference_s"] = reference_s
+    benchmark.extra_info["speedup"] = speedup
+    assert speedup >= 1.5
 
 
 def test_bench_rack_run_synthesis(benchmark):

@@ -61,23 +61,22 @@ class PerCpuCounters:
             raise SamplerError("counters are monotonic; negative add rejected")
         self._values[cpu, bucket] += np.uint64(amount)
 
-    def add_batch(self, cpus: np.ndarray, buckets: np.ndarray, amounts: np.ndarray) -> None:
-        """Vectorized :meth:`add` for whole packet batches.
+    def add_cells(self, cells: np.ndarray, amounts: np.ndarray) -> None:
+        """Scatter-add ``amounts`` at flat ``cpu * buckets + bucket`` cells.
 
-        ``np.add.at`` is the unbuffered scatter-add, so repeated
-        ``(cpu, bucket)`` pairs accumulate exactly like sequential
-        scalar adds.  Bounds are validated batch-wide up front for the
-        same reason the scalar path checks them.
+        The batched form of :meth:`add`: ``np.add.at`` is the unbuffered
+        scatter-add, so repeated cells accumulate exactly like
+        sequential scalar adds (uint64 sums do not depend on order).
+        Bounds are validated batch-wide up front for the same reason
+        the scalar path checks them.
         """
-        if len(cpus) == 0:
+        if len(cells) == 0:
             return
-        if cpus.min() < 0 or cpus.max() >= self.cpus:
-            raise SamplerError(f"cpu out of range [0, {self.cpus})")
-        if buckets.min() < 0 or buckets.max() >= self.buckets:
-            raise SamplerError(f"bucket out of range [0, {self.buckets})")
+        if cells.min() < 0 or cells.max() >= self._values.size:
+            raise SamplerError(f"cell out of range [0, {self._values.size})")
         if amounts.min() < 0:
             raise SamplerError("counters are monotonic; negative add rejected")
-        np.add.at(self._values, (cpus, buckets), amounts.astype(np.uint64))
+        np.add.at(self._values.reshape(-1), cells, amounts.astype(np.uint64))
 
     def aggregate(self) -> np.ndarray:
         """Sum across CPUs, yielding one value per bucket."""
@@ -119,16 +118,6 @@ class CounterSet:
     def add(self, kind: CounterKind, cpu: int, bucket: int, amount: int) -> None:
         """Increment the counter of ``kind`` on ``cpu`` at ``bucket``."""
         self[kind].add(cpu, bucket, amount)
-
-    def add_batch(
-        self,
-        kind: CounterKind,
-        cpus: np.ndarray,
-        buckets: np.ndarray,
-        amounts: np.ndarray,
-    ) -> None:
-        """Vectorized :meth:`add` over one packet batch."""
-        self[kind].add_batch(cpus, buckets, amounts)
 
     def aggregate(self) -> dict[CounterKind, np.ndarray]:
         """Aggregate every byte counter across CPUs."""

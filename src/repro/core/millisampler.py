@@ -21,6 +21,7 @@ the run.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,6 +65,16 @@ class PacketObservation:
     def __post_init__(self) -> None:
         if self.size < 0:
             raise SamplerError("packet size cannot be negative")
+
+
+#: Layout of one pending per-packet key (see Millisampler._scatter):
+#: the sketch bit in bits 0-6, then the ingress, ECN and retransmit
+#: flags, then the flat ``cpu * buckets + bucket`` cell.
+_INGRESS_SHIFT = 7
+_ECN_SHIFT = 8
+_RETX_SHIFT = 9
+_CELL_SHIFT = 10
+_FLAG_MASK = (1 << _CELL_SHIFT) - 1
 
 
 class SamplerState(enum.Enum):
@@ -148,6 +159,12 @@ class Millisampler:
         self.cost_model = cost_model or CostModel()
         self.stats = SamplerStats()
 
+        self._packet_ns = (
+            self.cost_model.per_packet_full_ns
+            if count_flows
+            else self.cost_model.per_packet_no_flows_ns
+        )
+
         self._state = SamplerState.DETACHED
         self._counters = CounterSet(cpus, buckets, count_flows=count_flows)
         # Per-CPU, per-bucket sketch bitmaps, backed by one
@@ -156,6 +173,7 @@ class Millisampler:
         # without materializing a FlowSketch per cell.
         self._sketch_words = np.zeros((cpus, buckets, SKETCH_WORDS), dtype=np.uint64)
         self._start_time: float | None = None
+        self._discard_pending()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -186,6 +204,7 @@ class Millisampler:
             raise SamplerError("run already in progress")
         self._counters.reset()
         self._sketch_words.fill(0)
+        self._discard_pending()
         self._start_time = None
         self._state = SamplerState.ENABLED
 
@@ -203,20 +222,66 @@ class Millisampler:
 
     # -- packet path --------------------------------------------------------
 
+    #: Packets whose counter and sketch writes are buffered before they
+    #: are folded into the arrays, at 16 bytes each (one packed key,
+    #: one size): the bound on a sampler's pending memory.
+    FOLD_PACKETS = 1 << 14
+
     def observe(self, obs: PacketObservation) -> None:
-        """Process one packet observation at the tc hook."""
-        if self._state is SamplerState.DETACHED:
-            raise SamplerError("detached filter cannot observe packets")
-        if self._state is SamplerState.DISABLED:
+        """Process one packet observation at the tc hook.
+
+        The flow key is hashed for every packet the enabled filter
+        sees, so a key :func:`~repro.core.sketch.hash_flow_key` rejects
+        raises before the packet touches any state.
+        """
+        self.observe_packet(
+            obs.time,
+            obs.size,
+            obs.cpu,
+            hash_flow_key(obs.flow_key)
+            if self.count_flows and self._state is SamplerState.ENABLED
+            else 0,
+            obs.direction is Direction.INGRESS,
+            bool(obs.ecn_marked),
+            bool(obs.retransmit),
+        )
+
+    def observe_packet(
+        self,
+        time: float,
+        size: int,
+        cpu: int,
+        flow_bit: int,
+        ingress: bool,
+        ecn_marked: bool = False,
+        retransmit: bool = False,
+    ) -> None:
+        """Process one packet, field by field (the tap's entry point).
+
+        The state machine runs eagerly per packet: the lifecycle
+        checks, the run start, the bucket, the self-disable past the
+        window and the stats.  Only the counter and sketch writes are
+        deferred: the packet's cell, flags, sketch bit (``flow_bit``,
+        from :func:`~repro.core.sketch.hash_flow_key`; ignored unless
+        counting flows) and non-negative ``size`` are appended to
+        pending columns, which :meth:`_fold` scatters into the arrays
+        in one pass.  uint64 sums and ORs do not depend on order, so
+        the arrays end up byte-identical to per-packet writes.
+        """
+        state = self._state
+        if state is not SamplerState.ENABLED:
+            if state is SamplerState.DETACHED:
+                raise SamplerError("detached filter cannot observe packets")
             self.stats.packets_skipped_disabled += 1
             self.stats.cpu_ns += self.cost_model.per_packet_disabled_ns
             return
 
-        if self._start_time is None:
+        start = self._start_time
+        if start is None:
             # The first packet after enabling marks the run start.
-            self._start_time = obs.time
+            start = self._start_time = time
 
-        bucket = int((obs.time - self._start_time) / self.sampling_interval)
+        bucket = int((time - start) / self.sampling_interval)
         if bucket < 0:
             raise SamplerError("observation precedes run start (non-monotonic clock)")
         if bucket >= self.buckets:
@@ -227,27 +292,65 @@ class Millisampler:
             self.stats.cpu_ns += self.cost_model.per_packet_disabled_ns
             return
 
-        cpu = obs.cpu % self.cpus
-        if obs.direction is Direction.INGRESS:
-            self._counters.add(CounterKind.IN_BYTES, cpu, bucket, obs.size)
-            if obs.ecn_marked:
-                self._counters.add(CounterKind.IN_ECN_BYTES, cpu, bucket, obs.size)
-            if obs.retransmit:
-                self._counters.add(CounterKind.IN_RETX_BYTES, cpu, bucket, obs.size)
-        else:
-            self._counters.add(CounterKind.OUT_BYTES, cpu, bucket, obs.size)
-            if obs.retransmit:
-                self._counters.add(CounterKind.OUT_RETX_BYTES, cpu, bucket, obs.size)
-        if self.count_flows:
-            bit = hash_flow_key(obs.flow_key)
-            self._sketch_words[cpu, bucket, bit >> 6] |= np.uint64(1 << (bit & 63))
-
-        self.stats.packets_processed += 1
-        self.stats.cpu_ns += (
-            self.cost_model.per_packet_full_ns
-            if self.count_flows
-            else self.cost_model.per_packet_no_flows_ns
+        # One packed key per packet: cell above the flags above the
+        # sketch bit (see _scatter).
+        self._keys.append(
+            ((cpu % self.cpus) * self.buckets + bucket) << _CELL_SHIFT
+            | retransmit << _RETX_SHIFT
+            | ecn_marked << _ECN_SHIFT
+            | ingress << _INGRESS_SHIFT
+            | flow_bit
         )
+        self._sizes.append(size)
+        stats = self.stats
+        stats.packets_processed += 1
+        stats.cpu_ns += self._packet_ns
+        if len(self._sizes) >= self.FOLD_PACKETS:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Scatter the pending per-packet writes into the arrays."""
+        if self._sizes:
+            keys = np.frombuffer(self._keys, dtype=np.int64)
+            self._scatter(
+                keys >> _CELL_SHIFT,
+                np.frombuffer(self._sizes, dtype=np.int64),
+                keys & _FLAG_MASK,
+            )
+            self._discard_pending()
+
+    def _discard_pending(self) -> None:
+        self._keys = array("q")
+        self._sizes = array("q")
+
+    def _scatter(self, cells: np.ndarray, sizes: np.ndarray, tags: np.ndarray) -> None:
+        """The one fold: counter scatter-adds and sketch scatter-ORs.
+
+        ``cells`` are flat ``cpu * buckets + bucket`` indices; ``tags``
+        carry the ingress/ECN/retransmit flags above the 7-bit sketch
+        bit.  ``np.add.at`` / ``np.bitwise_or.at`` are unbuffered, so
+        repeated cells accumulate like sequential scalar writes.
+        """
+        ingress = (tags & (1 << _INGRESS_SHIFT)) != 0
+        ecn = (tags & (1 << _ECN_SHIFT)) != 0
+        retx = (tags & (1 << _RETX_SHIFT)) != 0
+        egress = ~ingress
+        for kind, mask in (
+            (CounterKind.IN_BYTES, ingress),
+            (CounterKind.IN_ECN_BYTES, ingress & ecn),
+            (CounterKind.IN_RETX_BYTES, ingress & retx),
+            (CounterKind.OUT_BYTES, egress),
+            (CounterKind.OUT_RETX_BYTES, egress & retx),
+        ):
+            self._counters[kind].add_cells(cells[mask], sizes[mask])
+        if self.count_flows:
+            bits = tags & (SKETCH_BITS - 1)
+            index = cells * SKETCH_WORDS + (bits >> 6)
+            np.bitwise_or.at(
+                self._sketch_words.reshape(-1),
+                index,
+                np.uint64(1) << (bits & 63).astype(np.uint64),
+            )
 
     def observe_batch(
         self,
@@ -263,9 +366,9 @@ class Millisampler:
 
         Equivalent to calling :meth:`observe` per packet in array order
         — identical counters, sketch bitmaps, state transitions, and
-        stats — but every counter update is one ``np.add.at`` scatter
-        and every sketch bit one ``np.bitwise_or.at`` scatter, so the
-        per-packet Python cost disappears.  ``directions`` is boolean
+        stats — but the counter and sketch writes go straight to the
+        same scatter the per-packet path folds into, so the per-packet
+        Python cost disappears.  ``directions`` is boolean
         (``True`` = ingress); ``flow_bits`` carries pre-hashed bit
         indices from :func:`repro.core.sketch.hash_flow_keys` and is
         required when the sampler counts flows.  Inputs are validated
@@ -293,14 +396,14 @@ class Millisampler:
             if retransmit is None
             else np.asarray(retransmit, dtype=bool)
         )
-        for name, array in (
+        for name, column in (
             ("sizes", sizes),
             ("directions", directions),
             ("cpus", cpus),
             ("ecn_marked", ecn_marked),
             ("retransmit", retransmit),
         ):
-            if len(array) != count:
+            if len(column) != count:
                 raise SamplerError(f"{name} must have one entry per packet")
         if count and sizes.min() < 0:
             raise SamplerError("packet size cannot be negative")
@@ -319,6 +422,8 @@ class Millisampler:
                 raise SamplerError("flow_bits must have one entry per packet")
             if flow_bits.min() < 0 or flow_bits.max() >= SKETCH_BITS:
                 raise SamplerError("flow bit index out of range")
+        else:
+            flow_bits = np.zeros(count, dtype=np.int64)
 
         if self._start_time is None:
             self._start_time = float(times[0])
@@ -331,32 +436,18 @@ class Millisampler:
         if np.any(bucket[:processed] < 0):
             raise SamplerError("observation precedes run start (non-monotonic clock)")
 
-        cpu = cpus[:processed] % self.cpus
-        bkt = bucket[:processed]
-        size = sizes[:processed]
-        ingress = directions[:processed]
-        masks = {
-            CounterKind.IN_BYTES: ingress,
-            CounterKind.IN_ECN_BYTES: ingress & ecn_marked[:processed],
-            CounterKind.IN_RETX_BYTES: ingress & retransmit[:processed],
-            CounterKind.OUT_BYTES: ~ingress,
-            CounterKind.OUT_RETX_BYTES: ~ingress & retransmit[:processed],
-        }
-        for kind, mask in masks.items():
-            self._counters.add_batch(kind, cpu[mask], bkt[mask], size[mask])
-        if self.count_flows:
-            bits = flow_bits[:processed]
-            flat = self._sketch_words.reshape(-1)
-            index = (cpu * self.buckets + bkt) * SKETCH_WORDS + (bits >> 6)
-            np.bitwise_or.at(flat, index, np.uint64(1) << (bits & 63).astype(np.uint64))
-
-        per_packet = (
-            self.cost_model.per_packet_full_ns
-            if self.count_flows
-            else self.cost_model.per_packet_no_flows_ns
+        head = slice(processed)
+        self._scatter(
+            (cpus[head] % self.cpus) * self.buckets + bucket[head],
+            sizes[head],
+            flow_bits[head]
+            | directions[head].astype(np.int64) << _INGRESS_SHIFT
+            | ecn_marked[head].astype(np.int64) << _ECN_SHIFT
+            | retransmit[head].astype(np.int64) << _RETX_SHIFT,
         )
+
         self.stats.packets_processed += processed
-        self.stats.cpu_ns += processed * per_packet
+        self.stats.cpu_ns += processed * self._packet_ns
         if processed < count:
             # The completing packet clears the enabled flag; the rest of
             # the batch hits the disabled fast path.
@@ -374,6 +465,7 @@ class Millisampler:
         """
         if not 0 <= cpu < self.cpus or not 0 <= bucket < self.buckets:
             raise SamplerError("sketch index out of range")
+        self._fold()
         return FlowSketch.from_words(self._sketch_words[cpu, bucket])
 
     def finish(self, now: float) -> None:
@@ -415,6 +507,7 @@ class Millisampler:
         if self._start_time is None:
             raise SamplerError("no completed run to read")
         self.stats.cpu_ns += self.cost_model.map_read_ms * 1e6
+        self._fold()
 
         aggregated = self._counters.aggregate()
         conn = np.zeros(self.buckets, dtype=np.float64)

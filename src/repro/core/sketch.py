@@ -38,7 +38,9 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 
-def _fnv1a(data: bytes) -> int:
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a of ``data``: deterministic in every process, unlike
+    the builtin ``hash`` of strings, which ``PYTHONHASHSEED`` salts."""
     value = _FNV_OFFSET
     for byte in data:
         value ^= byte
@@ -57,7 +59,7 @@ def _hash_flow_key_raw(key: object) -> int:
         data = repr(key).encode("utf-8")
     else:
         raise SamplerError(f"unhashable flow key type: {type(key).__name__}")
-    return _fnv1a(data) % SKETCH_BITS
+    return fnv1a64(data) % SKETCH_BITS
 
 
 #: Bounded memo for the byte-at-a-time FNV walk: packet streams repeat

@@ -12,7 +12,7 @@ import itertools
 from typing import Callable
 
 from ..errors import SimulationError
-from .audit import active_tap
+from .audit import NOOP_TAP, active_tap
 
 
 class Engine:
@@ -24,6 +24,8 @@ class Engine:
         self._sequence = itertools.count()
         self._events_run = 0
         self._audit = active_tap()
+        # The no-op tap's hooks are empty, so skip the calls outright.
+        self._audited = self._audit is not NOOP_TAP
 
     @property
     def now(self) -> float:
@@ -44,7 +46,8 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule event in the past ({time} < now {self._now})"
             )
-        self._audit.on_schedule(self, time)
+        if self._audited:
+            self._audit.on_schedule(self, time)
         heapq.heappush(self._heap, (time, next(self._sequence), callback))
 
     def after(self, delay: float, callback: Callable[[], None]) -> None:
@@ -58,7 +61,8 @@ class Engine:
         if not self._heap:
             return False
         time, _seq, callback = heapq.heappop(self._heap)
-        self._audit.on_advance(self, time)
+        if self._audited:
+            self._audit.on_advance(self, time)
         self._now = time
         self._events_run += 1
         callback()
@@ -67,12 +71,26 @@ class Engine:
     def run_until(self, end_time: float, max_events: int | None = None) -> None:
         """Run events with time <= ``end_time``; advances ``now`` to
         ``end_time`` even if the heap empties earlier."""
-        budget = max_events if max_events is not None else float("inf")
-        while self._heap and self._heap[0][0] <= end_time:
-            if budget <= 0:
-                raise SimulationError(f"event budget exhausted at t={self._now}")
-            self.step()
-            budget -= 1
+        heap = self._heap
+        if max_events is not None:
+            budget = max_events
+            while heap and heap[0][0] <= end_time:
+                if budget <= 0:
+                    raise SimulationError(f"event budget exhausted at t={self._now}")
+                self.step()
+                budget -= 1
+        else:
+            # step() inlined: the common unbudgeted loop pays no method
+            # call per event.
+            audit = self._audit if self._audited else None
+            heappop = heapq.heappop
+            while heap and heap[0][0] <= end_time:
+                time, _seq, callback = heappop(heap)
+                if audit is not None:
+                    audit.on_advance(self, time)
+                self._now = time
+                self._events_run += 1
+                callback()
         if end_time > self._now:
             self._now = end_time
 

@@ -65,7 +65,12 @@ class Packet:
 
     def marked(self) -> "Packet":
         """A copy with the CE codepoint set (switch ECN marking)."""
-        return replace(self, ecn_ce=True)
+        # A shallow copy (same packet_id): replace() would re-run
+        # __init__ and its validation for a packet already validated.
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.ecn_ce = True
+        return clone
 
     def copy_for(self, dst: str) -> "Packet":
         """A multicast replica destined for ``dst`` (fresh packet id)."""

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from ..core.millisampler import Direction, Millisampler, PacketObservation
+from ..core.millisampler import Direction, Millisampler, SamplerState
+from ..core.sketch import fnv1a64, hash_flow_key
 from .clock import HostClock
 from .packet import FlowKey, Packet
 
@@ -47,8 +48,13 @@ class TapChain:
 
 def rss_cpu(packet: Packet, cpus: int) -> int:
     """Receive-side-scaling CPU choice: flows hash to a consistent core,
-    matching how soft-irq processing lands on many CPUs."""
-    return hash(packet.flow.as_tuple()) % cpus
+    matching how soft-irq processing lands on many CPUs.
+
+    The hash is FNV-1a over the 5-tuple, so the choice is the same in
+    every process; its upper half is used because the sketch bit comes
+    from the lower bits of the same hash.
+    """
+    return (fnv1a64(repr(packet.flow.as_tuple()).encode("utf-8")) >> 32) % cpus
 
 
 class MillisamplerTap:
@@ -58,12 +64,11 @@ class MillisamplerTap:
     are exactly what the Section 4.5 validation is about.
 
     A trace's packets come from a small working set of flows, so the
-    per-flow values — the 5-tuple key and its RSS CPU — are memoized
-    per :class:`~repro.simnet.packet.FlowKey` (hashable, frozen); the
-    steady-state per-packet cost is one dict probe instead of a tuple
-    build plus hash.  This pairs with the bounded memo inside
-    :func:`repro.core.sketch.hash_flow_key`, which caches the sketch
-    bit for the same tuples.
+    per-flow values — the RSS CPU and the sketch bit of the 5-tuple —
+    are memoized per :class:`~repro.simnet.packet.FlowKey` (hashable,
+    frozen), and each packet goes field by field to
+    :meth:`Millisampler.observe_packet` with no per-packet observation
+    object.
     """
 
     #: Flows cached per tap before the memo resets; a host converses
@@ -73,25 +78,25 @@ class MillisamplerTap:
     def __init__(self, sampler: Millisampler, clock: HostClock | None = None) -> None:
         self.sampler = sampler
         self.clock = clock or HostClock()
-        self._flow_cache: dict[FlowKey, tuple[tuple, int]] = {}
+        self._flow_cache: dict[FlowKey, tuple[int, int]] = {}
 
     def on_packet(self, packet: Packet, direction: Direction, now: float) -> None:
-        if self.sampler.state.value == "detached":
+        sampler = self.sampler
+        if sampler.state is SamplerState.DETACHED:
             return
         cached = self._flow_cache.get(packet.flow)
         if cached is None:
             if len(self._flow_cache) >= self._FLOW_CACHE_LIMIT:
                 self._flow_cache.clear()
-            cached = (packet.flow.as_tuple(), rss_cpu(packet, self.sampler.cpus))
+            cached = (rss_cpu(packet, sampler.cpus), hash_flow_key(packet.flow.as_tuple()))
             self._flow_cache[packet.flow] = cached
-        flow_key, cpu = cached
-        observation = PacketObservation(
-            time=self.clock.read(now),
-            direction=direction,
-            size=packet.size,
-            flow_key=flow_key,
-            cpu=cpu,
-            ecn_marked=packet.ecn_ce,
-            retransmit=packet.retransmit,
+        cpu, flow_bit = cached
+        sampler.observe_packet(
+            self.clock.read(now),
+            packet.size,
+            cpu,
+            flow_bit,
+            direction is Direction.INGRESS,
+            packet.ecn_ce,
+            packet.retransmit,
         )
-        self.sampler.observe(observation)

@@ -145,6 +145,51 @@ class TestEngineLaws:
             engine.run()
 
 
+    @pytest.mark.parametrize("runner", ["run_until", "run_until_budget", "run", "step"])
+    def test_auditor_sees_every_schedule_and_advance(self, runner):
+        """The engine skips its hooks only for the no-op tap: an
+        installed auditor still sees each schedule and each advance, on
+        the inlined run_until loop and on the budgeted/step paths."""
+
+        class Recorder(InvariantAuditor):
+            def __init__(self):
+                super().__init__()
+                self.scheduled, self.advanced = [], []
+
+            def on_schedule(self, engine, time):
+                self.scheduled.append(time)
+                super().on_schedule(engine, time)
+
+            def on_advance(self, engine, time):
+                self.advanced.append(time)
+                super().on_advance(engine, time)
+
+        def build(engine):
+            for start in (0.3, 0.1, 0.2):
+                engine.at(start, lambda s=start: engine.after(s, lambda: None))
+
+        with audited(Recorder()) as recorder:
+            engine = Engine()
+            build(engine)
+            if runner == "run_until":
+                engine.run_until(10.0)
+            elif runner == "run_until_budget":
+                engine.run_until(10.0, max_events=6)
+            elif runner == "run":
+                engine.run()
+            else:
+                while engine.step():
+                    pass
+        plain = Engine()
+        build(plain)
+        plain.run_until(10.0)
+        assert engine.events_run == plain.events_run == 6
+        assert recorder.scheduled == [0.3, 0.1, 0.2, 0.2, 0.4, 0.6]
+        assert recorder.advanced == [0.1, 0.2, 0.2, 0.3, 0.4, 0.6]
+        assert recorder.events == 12
+        assert recorder.violations == []
+
+
 class TestBufferLaws:
     def make(self, **overrides) -> SharedBuffer:
         return SharedBuffer(tight_buffer(**overrides))

@@ -1,5 +1,7 @@
 """Tests for packets, links, and NIC segmentation offload."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +30,20 @@ class TestPacket:
         marked = packet.marked()
         assert marked.ecn_ce and not packet.ecn_ce
         assert marked.packet_id == packet.packet_id
+
+    def test_marked_copy_keeps_every_other_field(self):
+        packet = make_packet(
+            seq=7, is_ack=True, ack=99, ecn_echo=True, retransmit=True,
+            multicast_group="g", enqueued_at=1.5,
+        )
+        marked = packet.marked()
+        assert marked is not packet and type(marked) is Packet
+        assert dataclasses.replace(packet, ecn_ce=True) == marked
+        for field in dataclasses.fields(Packet):
+            if field.name != "ecn_ce":
+                assert getattr(marked, field.name) == getattr(packet, field.name), field.name
+        marked.enqueued_at = 9.0
+        assert packet.enqueued_at == 1.5
 
     def test_multicast_copy_gets_new_id(self):
         packet = make_packet(multicast_group="g")
