@@ -572,19 +572,6 @@ class RunContentionView:
     p90s: np.ndarray
 
 
-def run_contention_from_summaries(summaries) -> RunContentionView:
-    """The in-memory oracle for :class:`RunContentionAccumulator`:
-    identical arrays, computed directly from the summary list in its
-    native (global) order."""
-    active = [s for s in summaries if s.contention.has_activity]
-    return RunContentionView(
-        total=len(summaries),
-        excluded=len(summaries) - len(active),
-        mins=np.array([s.contention.min_active for s in active], dtype=np.float64),
-        p90s=np.array([s.contention.p90 for s in active], dtype=np.float64),
-    )
-
-
 class RunContentionAccumulator:
     """Streaming collection of each run's (min-active, p90) contention."""
 
@@ -645,22 +632,6 @@ class BurstContentionView:
     max_contention: np.ndarray  # int-valued
     lossy: np.ndarray  # bool
     first_loss_contention: np.ndarray  # int-valued, -1 when not lossy
-
-
-def burst_contention_from_summaries(summaries) -> BurstContentionView:
-    """The in-memory oracle for :class:`BurstContentionAccumulator`."""
-    racks: list[str] = []
-    rows: list[tuple[int, bool, int]] = []
-    for summary in summaries:
-        for burst in summary.bursts:
-            racks.append(summary.rack)
-            rows.append((burst.max_contention, burst.lossy, burst.first_loss_contention))
-    return BurstContentionView(
-        racks=np.asarray(racks, dtype=str),
-        max_contention=np.asarray([r[0] for r in rows], dtype=np.int64),
-        lossy=np.asarray([r[1] for r in rows], dtype=bool),
-        first_loss_contention=np.asarray([r[2] for r in rows], dtype=np.int64),
-    )
 
 
 class BurstContentionAccumulator:

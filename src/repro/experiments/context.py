@@ -12,21 +12,14 @@ import threading
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 
-from ..analysis.diurnal import hourly_box_stats
 from ..analysis.racks import (
     DEFAULT_CONTENTION_SPLIT,
     RackClass,
     RackProfile,
     classify_racks,
-    rack_profiles,
 )
 from ..analysis.stats import BoxStats
-from ..analysis.streaming import (
-    BurstContentionView,
-    RunContentionView,
-    burst_contention_from_summaries,
-    run_contention_from_summaries,
-)
+from ..analysis.streaming import BurstContentionView, RunContentionView
 from ..analysis.summary import RunSummary
 from ..config import FleetConfig
 from ..errors import ConfigError
@@ -146,9 +139,10 @@ class ExperimentContext:
 
         With :attr:`store_dir` set this is a lazy
         :class:`~repro.fleet.shards.ShardedRegionDataset` (built shard by
-        shard, loaded via memmap); otherwise the legacy in-memory
+        shard, loaded via memmap); otherwise the in-memory
         :class:`RegionDataset` behind the monolithic pickle cache.  Both
-        expose ``region``/``summaries``/``workloads``/``table1_row``.
+        expose ``region``/``summaries``/``workloads`` and the same
+        aggregation methods.
 
         ``on_shard`` (shard-store path only) is invoked with each shard's
         manifest record as it lands — the query service streams these to
@@ -161,9 +155,14 @@ class ExperimentContext:
                 spec = self._spec(region)
                 progress = None
                 if self.verbose:
+                    printed = [0]
+
                     def progress(done: int, total: int, _region: str = region) -> None:
-                        if done % 200 == 0 or done == total:
+                        # Pool and shard builds advance ``done`` by whole
+                        # tasks, so print on crossing each 200-run mark.
+                        if done // 200 > printed[0] // 200 or done == total:
                             print(f"  [{_region}] {done}/{total} rack runs")
+                        printed[0] = done
                 with self.metrics.span(f"dataset/{region}"):
                     if self.store_dir:
                         dataset = generate_region_shards(
@@ -213,7 +212,6 @@ class ExperimentContext:
         window around the busy hour (each rack is sampled ~10 of 24
         hours, so a single hour would cover less than half the racks —
         the window keeps the rack sample representative)."""
-        dataset = self.dataset(region)
         hours: set[int] | None = None
         if busy_hour_only:
             hours = {self.busy_hour - 1, self.busy_hour, self.busy_hour + 1}
@@ -222,51 +220,33 @@ class ExperimentContext:
                 # Tiny test datasets may miss the window entirely; fall
                 # back to the fullest hour.
                 hours = {max(set(counts), key=lambda h: counts[h])}
-        if isinstance(dataset, ShardedRegionDataset):
-            return dataset.rack_profiles(hours=hours)
-        return rack_profiles(dataset.summaries, hours=hours)
+        return self.dataset(region).rack_profiles(hours=hours)
 
     def hour_counts(self, region: str) -> dict[int, int]:
         """Runs per hour, computed without materializing a sharded set."""
-        dataset = self.dataset(region)
-        if isinstance(dataset, ShardedRegionDataset):
-            return dataset.hour_counts()
-        counts: dict[int, int] = {}
-        for summary in dataset.summaries:
-            counts[summary.hour] = counts.get(summary.hour, 0) + 1
-        return counts
+        return self.dataset(region).hour_counts()
 
-    # -- streaming-or-oracle aggregations ---------------------------------
+    # -- aggregations -----------------------------------------------------
     #
-    # Each method computes through the shard store's mergeable partials
-    # when the context is backed by one, and through the in-memory
-    # oracle otherwise; the two are bit-identical by construction (and
-    # by test), so experiments call these without caring which path ran.
+    # Both dataset kinds aggregate through the same frame path
+    # (repro.fleet.frames.FrameAggregations): an in-memory region-day is
+    # one frame, a shard store one frame per shard.
 
     def table1_row(self, region: str) -> DatasetSummary:
-        """Table 1's row for one region (streaming under a shard store)."""
+        """Table 1's row for one region."""
         return self.dataset(region).table1_row()
 
     def hourly_boxes(self, region: str, racks: set[str] | None = None) -> dict[int, BoxStats]:
         """Figure 13's hourly contention boxes, optionally rack-filtered."""
-        dataset = self.dataset(region)
-        if isinstance(dataset, ShardedRegionDataset):
-            return dataset.hourly_boxes(racks=racks)
-        return hourly_box_stats(dataset.summaries, racks=racks)
+        return self.dataset(region).hourly_boxes(racks=racks)
 
     def run_contention(self, region: str) -> RunContentionView:
         """Figure 15's per-run (min-active, p90) contention arrays."""
-        dataset = self.dataset(region)
-        if isinstance(dataset, ShardedRegionDataset):
-            return dataset.run_contention()
-        return run_contention_from_summaries(dataset.summaries)
+        return self.dataset(region).run_contention()
 
     def burst_contention(self, region: str) -> BurstContentionView:
         """Figure 16's per-burst contention/loss annotations."""
-        dataset = self.dataset(region)
-        if isinstance(dataset, ShardedRegionDataset):
-            return dataset.burst_contention()
-        return burst_contention_from_summaries(dataset.summaries)
+        return self.dataset(region).burst_contention()
 
     def rega_classes(self) -> dict[RackClass, list[RackProfile]]:
         """The RegA-Typical / RegA-High split (whole-day contention)."""

@@ -25,15 +25,13 @@ from .demand import DemandModel, ServerDemand
 from .rackrun import RackRunSynthesizer
 from .dataset import (
     DatasetSummary,
-    RackDay,
     RackRunPlan,
     RegionDataset,
     generate_region_dataset,
-    generate_paper_dataset,
     plan_region,
-    synthesize_rack_day,
+    synthesize_shard,
 )
-from .parallel import generate_region_dataset_parallel, resolve_jobs
+from .parallel import resolve_jobs
 
 __all__ = [
     "FluidBufferModel",
@@ -43,15 +41,12 @@ __all__ = [
     "RackRunSynthesizer",
     "DatasetCache",
     "DatasetSummary",
-    "RackDay",
     "RackRunPlan",
     "RegionDataset",
     "dataset_cache_key",
     "default_cache_dir",
     "generate_region_dataset",
-    "generate_paper_dataset",
-    "generate_region_dataset_parallel",
     "plan_region",
     "resolve_jobs",
-    "synthesize_rack_day",
+    "synthesize_shard",
 ]

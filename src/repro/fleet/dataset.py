@@ -20,16 +20,27 @@ whole region:
 
 Because each (rack, run) stream is derived purely from indices, any
 rack run can be synthesized in isolation — which is what makes
-generation embarrassingly parallel (see :mod:`repro.fleet.parallel`)
-and cacheable (see :mod:`repro.fleet.cache`).  For a fixed seed the
-summaries are identical whether the region is generated serially, by a
-process pool of any size, or loaded back from the on-disk cache.
+generation embarrassingly parallel and cacheable (see
+:mod:`repro.fleet.cache`).
+
+One synthesis unit
+------------------
+A :class:`ShardTask` — a rack range x hour band of (rack, run) seed
+leaves — is the only unit of synthesis: :func:`synthesize_shard`
+synthesizes its runs in fluid batches and reduces each batch at once.
+:func:`generate_region_dataset` and the shard store
+(:mod:`repro.fleet.shards`) both plan tasks with
+:func:`plan_region_shards` and drive them through the one fan-out,
+:func:`repro.fleet.parallel.fan_out`.  For a fixed seed the summaries
+are identical for any plan geometry and job count, and when loaded
+back from the on-disk cache.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -38,7 +49,9 @@ from ..analysis.summary import RunSummary, summarize_run
 from ..config import FleetConfig
 from ..errors import ConfigError
 from ..obs.metrics import Metrics
-from ..workload.region import RackWorkload, RegionSpec, REGION_A, REGION_B, build_region_workloads
+from ..workload.region import RackWorkload, RegionSpec, build_region_workloads
+from .frames import FrameAggregations, ShardFrame, summaries_to_columns
+from .parallel import fan_out, resolve_jobs
 from .rackrun import BatchItem, RackRunSynthesizer
 
 #: Stream-tree branch tags (the first element of every spawn key).
@@ -46,15 +59,12 @@ _PLACEMENT_STREAM = 0
 _HOURS_STREAM = 1
 _RUN_STREAM = 2
 
-
-@dataclass
-class RackDay:
-    """One rack's day of runs, reduced."""
-
-    rack: str
-    region: str
-    colocated: bool
-    summaries: list[RunSummary]
+#: Default shard geometry: racks per shard x hours per shard.  64 x 12
+#: keeps a paper-scale (1000-rack) region at ~32 shards of a few
+#: thousand runs each — large enough to amortize fluid batching, small
+#: enough that one shard of summaries is a trivial memory footprint.
+DEFAULT_SHARD_RACKS = 64
+DEFAULT_SHARD_HOURS = 12
 
 
 @dataclass
@@ -76,40 +86,37 @@ class DatasetSummary:
 
 
 @dataclass
-class RegionDataset:
-    """All reduced runs for one region-day."""
+class RegionDataset(FrameAggregations):
+    """All reduced runs for one region-day, held in memory.
+
+    Its aggregations (:class:`~repro.fleet.frames.FrameAggregations`)
+    read the whole day as one columnar frame, built on first use.
+    """
 
     region: str
     summaries: list[RunSummary]
     workloads: list[RackWorkload] = field(default_factory=list)
+    _frame: ShardFrame | None = field(default=None, init=False, repr=False, compare=False)
 
-    def rack_days(self) -> list[RackDay]:
-        grouped: dict[str, list[RunSummary]] = {}
-        for summary in self.summaries:
-            grouped.setdefault(summary.rack, []).append(summary)
-        return [
-            RackDay(
-                rack=rack,
-                region=self.region,
-                colocated=bool(runs[0].extras.get("colocated", False)),
-                summaries=runs,
+    def __getstate__(self) -> dict:
+        # The frame is derived: cache entries hold only the dataset.
+        state = dict(self.__dict__)
+        state.pop("_frame", None)
+        return state
+
+    @property
+    def rack_names(self) -> list[str]:
+        return [workload.rack for workload in self.workloads]
+
+    def iter_frames(self) -> Iterator[ShardFrame]:
+        """The whole day as one frame; rack ids index :attr:`workloads`."""
+        if self._frame is None:
+            rack_ids = {name: index for index, name in enumerate(self.rack_names)}
+            runs, bursts = summaries_to_columns(
+                self.summaries, [rack_ids[summary.rack] for summary in self.summaries]
             )
-            for rack, runs in sorted(grouped.items())
-        ]
-
-    def table1_row(self) -> DatasetSummary:
-        server_runs = sum(summary.servers for summary in self.summaries)
-        bursty = sum(summary.bursty_server_runs() for summary in self.summaries)
-        bursts = sum(len(summary.bursts) for summary in self.summaries)
-        racks = len({summary.rack for summary in self.summaries})
-        return DatasetSummary(
-            region=self.region,
-            runs=len(self.summaries),
-            server_runs=server_runs,
-            bursty_server_runs=bursty,
-            bursts=bursts,
-            racks=racks,
-        )
+            self._frame = ShardFrame(record={}, runs=runs, bursts=bursts)
+        yield self._frame
 
 
 # -- seed-stream tree --------------------------------------------------------
@@ -199,104 +206,135 @@ def plan_region(spec: RegionSpec, config: FleetConfig) -> list[RackRunPlan]:
     return plans
 
 
-def _plan_items(plan: RackRunPlan, config: FleetConfig) -> list[BatchItem]:
-    """One rack day as batch items, each on its own seed-stream leaf."""
-    return [
-        (
-            plan.workload,
-            hour,
-            run_rng(plan.workload.region, config.seed, plan.rack_index, run_index),
+
+
+# -- shard plan and the synthesis unit ---------------------------------------
+
+
+@dataclass(frozen=True)
+class ShardKey:
+    """Identity of one shard: a rack range x hour band of one region."""
+
+    region: str
+    rack_lo: int
+    rack_hi: int  # exclusive
+    hour_lo: int
+    hour_hi: int  # exclusive
+
+    @property
+    def tag(self) -> str:
+        return (
+            f"r{self.rack_lo:04d}-{self.rack_hi:04d}"
+            f"-h{self.hour_lo:02d}-{self.hour_hi:02d}"
         )
-        for run_index, hour in enumerate(plan.hours)
-    ]
+
+
+@dataclass(frozen=True)
+class ShardTask:
+    """One shard's generation work: the plans whose rack index falls in
+    the range, each with the run indices whose hour falls in the band.
+
+    ``run_indices`` index into the rack's *full* day schedule, so every
+    run keeps its original ``(rack_index, run_index)`` seed-stream leaf
+    and shard contents are bit-identical to any other plan geometry.
+    """
+
+    key: ShardKey
+    plans: tuple[RackRunPlan, ...]
+    run_indices: tuple[tuple[int, ...], ...]  # aligned with plans
+
+    @property
+    def total_runs(self) -> int:
+        return sum(len(indices) for indices in self.run_indices)
+
+
+def plan_region_shards(
+    spec: RegionSpec,
+    config: FleetConfig,
+    shard_racks: int = DEFAULT_SHARD_RACKS,
+    shard_hours: int = DEFAULT_SHARD_HOURS,
+) -> tuple[list[RackRunPlan], list[ShardTask]]:
+    """Partition a region plan into shard tasks.
+
+    Returns the full plan list (rack order — the workloads contract)
+    and the shard tasks ordered by (rack range, hour band).  Every
+    (rack, run) of the plan appears in exactly one shard; shards with
+    no runs are not planned.
+    """
+    if shard_racks < 1:
+        raise ConfigError("shard must span at least one rack")
+    if shard_hours < 1:
+        raise ConfigError("shard must span at least one hour")
+    plans = plan_region(spec, config)
+    tasks: list[ShardTask] = []
+    for rack_lo in range(0, len(plans), shard_racks):
+        rack_hi = min(rack_lo + shard_racks, len(plans))
+        for hour_lo in range(0, config.hours, shard_hours):
+            hour_hi = min(hour_lo + shard_hours, config.hours)
+            shard_plans: list[RackRunPlan] = []
+            shard_indices: list[tuple[int, ...]] = []
+            for plan in plans[rack_lo:rack_hi]:
+                indices = tuple(
+                    run_index
+                    for run_index, hour in enumerate(plan.hours)
+                    if hour_lo <= hour < hour_hi
+                )
+                if indices:
+                    shard_plans.append(plan)
+                    shard_indices.append(indices)
+            if not shard_plans:
+                continue
+            tasks.append(
+                ShardTask(
+                    key=ShardKey(spec.name, rack_lo, rack_hi, hour_lo, hour_hi),
+                    plans=tuple(shard_plans),
+                    run_indices=tuple(shard_indices),
+                )
+            )
+    return plans, tasks
 
 
 def _summarize_batch(
     items: list[BatchItem],
     synthesizer: RackRunSynthesizer,
     metrics: Metrics,
-) -> list[tuple[RunSummary, RackWorkload]]:
+) -> list[RunSummary]:
     """Synthesize one fluid batch and reduce every run immediately."""
     sync_runs = synthesizer.synthesize_batch(items, metrics=metrics)
     with metrics.span("synthesis/summarize"):
-        return [
-            (summarize_run(sync_run), workload)
-            for (workload, _hour, _rng), sync_run in zip(items, sync_runs)
-        ]
+        return [summarize_run(sync_run) for sync_run in sync_runs]
 
 
-def iter_rack_day(
-    plan: RackRunPlan,
-    config: FleetConfig,
-    synthesizer: RackRunSynthesizer | None = None,
-    metrics: Metrics | None = None,
-) -> Iterator[RunSummary]:
-    """Synthesize and reduce one rack's runs, one fluid batch at a time."""
-    synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy, kernel=config.kernel)
-    metrics = metrics if metrics is not None else Metrics()
-    items = _plan_items(plan, config)
-    for start in range(0, len(items), config.fluid_batch):
-        chunk = items[start : start + config.fluid_batch]
-        for summary, _workload in _summarize_batch(chunk, synthesizer, metrics):
-            yield summary
-
-
-def synthesize_rack_day(
-    plan: RackRunPlan,
+def synthesize_shard(
+    task: ShardTask,
     config: FleetConfig,
     synthesizer: RackRunSynthesizer | None = None,
     metrics: Metrics | None = None,
 ) -> list[RunSummary]:
-    """One rack's reduced day — the unit of work a pool worker executes."""
-    return list(iter_rack_day(plan, config, synthesizer, metrics))
+    """Synthesize one task's runs (rack-major, hour-ascending order),
+    reducing each fluid batch immediately — the one unit of synthesis.
 
-
-def iter_region_summaries(
-    spec: RegionSpec,
-    config: FleetConfig,
-    synthesizer: RackRunSynthesizer | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    metrics: Metrics | None = None,
-) -> Iterator[tuple[RunSummary, RackWorkload]]:
-    """Lazily generate (summary, workload) pairs for a region-day.
-
-    Consecutive rack runs — across rack boundaries — are synthesized in
-    fluid batches of ``config.fluid_batch`` and reduced immediately, so
-    peak memory is one batch of raw runs regardless of region scale.
+    Batches of ``config.fluid_batch`` runs cross rack boundaries, so a
+    task spanning many racks keeps the fluid kernel's batches full;
+    peak memory is one batch of raw runs regardless of task size.
     """
-    plans = plan_region(spec, config)
-    yield from iter_plan_summaries(plans, config, synthesizer, progress, metrics)
-
-
-def iter_plan_summaries(
-    plans: list[RackRunPlan],
-    config: FleetConfig,
-    synthesizer: RackRunSynthesizer | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    metrics: Metrics | None = None,
-) -> Iterator[tuple[RunSummary, RackWorkload]]:
-    """:func:`iter_region_summaries` over an explicit plan list (the
-    shard store synthesizes hour-band slices of a region plan)."""
     synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy, kernel=config.kernel)
     metrics = metrics if metrics is not None else Metrics()
-    total = sum(len(plan.hours) for plan in plans)
-    done = 0
-    buffer: list[BatchItem] = []
-    for plan in plans:
-        buffer.extend(_plan_items(plan, config))
-        while len(buffer) >= config.fluid_batch:
-            chunk, buffer = buffer[: config.fluid_batch], buffer[config.fluid_batch :]
-            for summary, workload in _summarize_batch(chunk, synthesizer, metrics):
-                done += 1
-                if progress is not None:
-                    progress(done, total)
-                yield summary, workload
-    if buffer:
-        for summary, workload in _summarize_batch(buffer, synthesizer, metrics):
-            done += 1
-            if progress is not None:
-                progress(done, total)
-            yield summary, workload
+    items: list[BatchItem] = [
+        (
+            plan.workload,
+            plan.hours[run_index],
+            run_rng(task.key.region, config.seed, plan.rack_index, run_index),
+        )
+        for plan, run_indices in zip(task.plans, task.run_indices)
+        for run_index in run_indices
+    ]
+    summaries: list[RunSummary] = []
+    for start in range(0, len(items), config.fluid_batch):
+        summaries.extend(
+            _summarize_batch(items[start : start + config.fluid_batch], synthesizer, metrics)
+        )
+    return summaries
 
 
 def generate_region_dataset(
@@ -311,64 +349,56 @@ def generate_region_dataset(
 ) -> RegionDataset:
     """Generate and reduce one region-day.
 
-    ``jobs`` overrides ``config.jobs``: 1 synthesizes serially in this
-    process, N > 1 fans rack days out over a process pool, and 0 uses
-    every available core.  The result is identical for any job count.
+    ``jobs`` overrides ``config.jobs``: 1 synthesizes in this process as
+    one task spanning the whole region (fluid batches cross racks), N > 1
+    fans one task per rack day out over a process pool, and 0 uses every
+    available core.  The result is identical for any job count.
     ``metrics`` receives a ``generate/<region>`` span and a
     ``dataset.generated_runs`` counter; telemetry never shapes data.
-    ``pool``/``cancel_event`` reach the parallel fan-out (see
-    :func:`repro.fleet.parallel.run_windowed`); the query service uses
-    them for its persistent pool and graceful drain.
+    ``pool``/``cancel_event`` reach the fan-out (see
+    :func:`repro.fleet.parallel.fan_out`); the query service uses them
+    for its persistent pool and graceful drain.
     """
-    resolved = config.jobs if jobs is None else jobs
-    from .parallel import resolve_jobs
-
-    resolved = resolve_jobs(resolved)
+    jobs = resolve_jobs(config.jobs if jobs is None else jobs)
+    parallel = jobs > 1 or pool is not None
     metrics = metrics if metrics is not None else Metrics()
-    if resolved > 1 or pool is not None:
-        from .parallel import generate_region_dataset_parallel
+    plans, tasks = plan_region_shards(
+        spec,
+        config,
+        shard_racks=1 if parallel else max(1, config.racks_per_region),
+        shard_hours=config.hours,
+    )
+    total = sum(task.total_runs for task in tasks)
+    per_task: dict[ShardKey, list[RunSummary]] = {}
+    done = 0
 
-        return generate_region_dataset_parallel(
-            spec, config, jobs=resolved, synthesizer=synthesizer,
-            progress=progress, metrics=metrics,
-            pool=pool, cancel_event=cancel_event,
-        )
+    def handle(task: ShardTask, summaries: list[RunSummary]) -> None:
+        nonlocal done
+        per_task[task.key] = summaries
+        done += len(summaries)
+        if parallel:
+            metrics.incr("dataset.parallel.rack_days")
+        if progress is not None:
+            progress(done, total)
 
-    summaries: list[RunSummary] = []
-    plans = plan_region(spec, config)
     with metrics.span(f"generate/{spec.name}"):
-        for summary, _workload in iter_plan_summaries(
-            plans, config, synthesizer, progress, metrics=metrics
-        ):
-            summaries.append(summary)
+        fan_out(
+            tasks,
+            partial(synthesize_shard, config=config, synthesizer=synthesizer),
+            handle,
+            jobs=jobs,
+            metrics=metrics,
+            kernel=config.kernel,
+            label=lambda task: f"rack {task.key.rack_lo} ({task.plans[0].workload.rack})",
+            pool=pool,
+            cancel_event=cancel_event,
+        )
+    summaries = [summary for task in tasks for summary in per_task[task.key]]
     metrics.incr("dataset.generated_runs", len(summaries))
-    # One workloads rule for every path (serial, parallel, sharded):
-    # every *planned* rack contributes its workload in rack order, even
-    # racks that scheduled zero runs.  Collecting workloads from yielded
-    # summaries instead would silently drop zero-run racks and disagree
-    # with the parallel path.
+    # Every *planned* rack contributes its workload in rack order, even
+    # racks that scheduled zero runs (the shard store keeps the same rule).
     return RegionDataset(
         region=spec.name,
         summaries=summaries,
         workloads=[plan.workload for plan in plans],
     )
-
-
-def generate_paper_dataset(
-    config: FleetConfig | None = None,
-    progress: Callable[[str, int, int], None] | None = None,
-    jobs: int | None = None,
-) -> dict[str, RegionDataset]:
-    """Both regions of the paper's primary dataset."""
-    config = config or FleetConfig()
-    datasets: dict[str, RegionDataset] = {}
-    for spec in (REGION_A, REGION_B):
-        region_progress = (
-            (lambda done, total, name=spec.name: progress(name, done, total))
-            if progress is not None
-            else None
-        )
-        datasets[spec.name] = generate_region_dataset(
-            spec, config, progress=region_progress, jobs=jobs
-        )
-    return datasets

@@ -2,18 +2,20 @@
 
 Dataset generation is embarrassingly parallel once every (rack, run)
 pair owns an independent seed stream (see the seeding notes in
-:mod:`repro.fleet.dataset`): each worker synthesizes whole rack days
-and reduces every raw run to its :class:`RunSummary` before returning,
-so peak memory stays one raw rack run per worker and only the small
-summaries cross the process boundary.
+:mod:`repro.fleet.dataset`).  :func:`fan_out` is the one fan-out: both
+:func:`~repro.fleet.dataset.generate_region_dataset` and the shard
+store's build hand it their synthesis tasks and run them inline or
+over a process pool.  Workers reduce every raw run to its
+:class:`~repro.analysis.summary.RunSummary` before returning, so peak
+memory stays one fluid batch per worker and only small results cross
+the process boundary.
 
 Determinism is structural, not incidental — workers never share RNG
-state, and results are reassembled in rack order — so a region-day is
-byte-identical for any job count.
+state, and callers reassemble results in task order — so a region-day
+is byte-identical for any job count.
 
-:func:`run_windowed` is the shared fan-out substrate (also used by the
-shard store and the query service).  It owns the failure semantics a
-long-lived process needs:
+:func:`run_windowed` is the pool substrate under :func:`fan_out`.  It
+owns the failure semantics a long-lived process needs:
 
 * **fail-fast** — the first task exception cancels everything still
   queued and surfaces as :class:`~repro.errors.WorkerTaskError` naming
@@ -38,16 +40,12 @@ from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExe
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence, TypeVar
 
-from ..analysis.summary import RunSummary
-from ..config import FleetConfig
 from ..errors import ConfigError, WorkerCancelled, WorkerCrashError, WorkerTaskError
 from ..obs.metrics import Metrics
-from ..workload.region import RegionSpec
-from .dataset import RackRunPlan, RegionDataset, plan_region, synthesize_rack_day
 from .kernels import consume_pending, pool_initializer
-from .rackrun import RackRunSynthesizer
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 def resolve_jobs(jobs: int, reserved: int = 0) -> int:
@@ -202,91 +200,62 @@ def run_windowed(
     return completed
 
 
-def _rack_day_task(
-    plan: RackRunPlan, config: FleetConfig, synthesizer: RackRunSynthesizer | None
-) -> tuple[int, list[RunSummary], dict]:
-    """Top-level worker entry point (must be picklable).
-
-    Stage timers (demand/fluid/assemble/summarize) are recorded into a
-    worker-local registry and returned as a snapshot so the parent can
-    merge them; telemetry crosses the process boundary as plain data,
-    never as shared state.
-    """
-    worker_metrics = Metrics()
-    consume_pending(worker_metrics)  # pool-initializer JIT compile time
-    summaries = synthesize_rack_day(plan, config, synthesizer, metrics=worker_metrics)
-    return plan.rack_index, summaries, worker_metrics.snapshot()
-
-
-def _plan_label(plan: RackRunPlan) -> str:
-    return f"rack {plan.rack_index} ({plan.workload.rack})"
-
-
-def generate_region_dataset_parallel(
-    spec: RegionSpec,
-    config: FleetConfig,
+def fan_out(
+    tasks: Sequence[T],
+    work: Callable[..., R],
+    handle: Callable[[T, R], None],
+    *,
     jobs: int,
-    synthesizer: RackRunSynthesizer | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    metrics: Metrics | None = None,
+    metrics: Metrics,
+    kernel: str,
+    label: Callable[[T], str],
     pool: Executor | None = None,
     cancel_event: threading.Event | None = None,
-) -> RegionDataset:
-    """Generate one region-day with ``jobs`` worker processes.
+) -> None:
+    """Run ``work(task, metrics=...)`` for every task and pass each
+    result to ``handle(task, result)``.
 
-    Produces exactly the same :class:`RegionDataset` as the serial path
-    in :func:`repro.fleet.dataset.generate_region_dataset`.  ``metrics``
-    stays in the parent process (only plans and results cross the
-    process boundary); it records the fan-out span and per-rack-day
-    task counts.
-
-    Failure semantics come from :func:`run_windowed`: fail-fast
-    :class:`WorkerTaskError` naming the failing rack, retry-once then
-    :class:`WorkerCrashError` on worker death, graceful-drain
-    :class:`WorkerCancelled` via ``cancel_event``.
+    With ``jobs`` resolving to 1 and no ``pool``, or with at most one
+    task, tasks run inline in task order, recording into ``metrics``;
+    a set ``cancel_event`` stops them between tasks with
+    :class:`~repro.errors.WorkerCancelled`.  Otherwise they fan out
+    through :func:`run_windowed` (``kernel`` warms each owned worker):
+    each worker records into its own registry, whose snapshot is merged
+    into ``metrics`` before ``handle`` runs.  ``work`` must pickle — a
+    module-level function or a ``functools.partial`` of one.
     """
-    jobs = resolve_jobs(jobs)
-    metrics = metrics if metrics is not None else Metrics()
-    plans = plan_region(spec, config)
-    if not plans:
-        # A region that plans zero racks is a valid degenerate scale;
-        # ProcessPoolExecutor(max_workers=0) would raise, so short-circuit
-        # to the same empty dataset the serial path returns.
-        metrics.incr("dataset.generated_runs", 0)
-        return RegionDataset(region=spec.name, summaries=[], workloads=[])
-    total = sum(len(plan.hours) for plan in plans)
-    per_rack: list[list[RunSummary] | None] = [None] * len(plans)
-    progress_done = 0
+    tasks = list(tasks)
+    if (resolve_jobs(jobs) == 1 and pool is None) or len(tasks) <= 1:
+        for index, task in enumerate(tasks):
+            if cancel_event is not None and cancel_event.is_set():
+                raise WorkerCancelled(index, len(tasks))
+            handle(task, work(task, metrics=metrics))
+        return
 
-    def handle(plan: RackRunPlan, result: tuple[int, list[RunSummary], dict]) -> None:
-        nonlocal progress_done
-        _rack_index, summaries, snapshot = result
-        per_rack[plan.rack_index] = summaries
-        progress_done += len(summaries)
-        metrics.incr("dataset.parallel.rack_days")
+    def merge(task: T, result: tuple[R, dict]) -> None:
+        value, snapshot = result
         metrics.merge(snapshot)
-        if progress is not None:
-            progress(progress_done, total)
+        handle(task, value)
 
-    with metrics.span(f"generate/{spec.name}"):
-        run_windowed(
-            plans,
-            lambda executor, plan: executor.submit(
-                _rack_day_task, plan, config, synthesizer
-            ),
-            handle,
-            jobs=jobs,
-            window=2 * jobs,
-            label=_plan_label,
-            pool=pool,
-            cancel_event=cancel_event,
-            initializer=pool_initializer,
-            initargs=(config.kernel,),
-        )
-    summaries = [summary for rack in per_rack for summary in (rack or [])]
-    metrics.incr("dataset.generated_runs", len(summaries))
-    return RegionDataset(
-        region=spec.name,
-        summaries=summaries,
-        workloads=[plan.workload for plan in plans],
+    run_windowed(
+        tasks,
+        lambda executor, task: executor.submit(_pooled, work, task),
+        merge,
+        jobs=jobs,
+        label=label,
+        pool=pool,
+        cancel_event=cancel_event,
+        initializer=pool_initializer,
+        initargs=(kernel,),
     )
+
+
+def _pooled(work: Callable[..., R], task) -> tuple[R, dict]:
+    """Pool worker entry point: one task into a worker-local registry.
+
+    Telemetry crosses the process boundary as a plain snapshot, never
+    as shared state.
+    """
+    metrics = Metrics()
+    consume_pending(metrics)  # pool-initializer JIT compile time
+    return work(task, metrics=metrics), metrics.snapshot()

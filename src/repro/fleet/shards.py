@@ -29,10 +29,11 @@ geometry)::
   the manifest is written last, so a crashed writer can never leave a
   store that *looks* complete.  Stale temp files are swept on build.
 
-Because every (rack, run) pair owns an independent seed-stream leaf,
-shard contents are **bit-identical** to the corresponding slice of the
-monolithic in-memory generation — the legacy path stays available as
-the exactness oracle, and the determinism suite holds shard-by-shard.
+Shards are synthesized by the same unit and fan-out as the in-memory
+:func:`~repro.fleet.dataset.generate_region_dataset`, and every
+(rack, run) pair owns an independent seed-stream leaf, so shard
+contents are **bit-identical** to the corresponding slice of the
+in-memory region-day; the determinism suite holds shard-by-shard.
 """
 
 from __future__ import annotations
@@ -46,34 +47,38 @@ import tempfile
 import threading
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 
-from ..analysis.streaming import (
-    BurstContentionAccumulator,
-    BurstContentionView,
-    HourlyBoxAccumulator,
-    RackProfileAccumulator,
-    RunContentionAccumulator,
-    RunContentionView,
-    Table1Accumulator,
-)
 from ..analysis.summary import RunSummary
 from ..config import FleetConfig
-from ..errors import ConfigError, WorkerCancelled
+from ..errors import ConfigError
 from ..obs.metrics import Metrics
 from ..workload.region import RackWorkload, RegionSpec
 from .cache import dataset_cache_key, sweep_stale_tmp_files
 from .dataset import (
-    DatasetSummary,
-    RackRunPlan,
+    DEFAULT_SHARD_HOURS,
+    DEFAULT_SHARD_RACKS,
     RegionDataset,
-    plan_region,
-    run_rng,
+    ShardKey,
+    ShardTask,
+    plan_region_shards,
+    synthesize_shard,
 )
-from .kernels import consume_pending, pool_initializer
-from .rackrun import BatchItem, RackRunSynthesizer
+from .frames import (
+    BURST_COL,
+    BURST_COLUMNS,
+    RUN_COL,
+    RUN_COLUMNS,
+    FrameAggregations,
+    ShardFrame,
+    _close_mmap,
+    summaries_to_columns,
+)
+from .parallel import fan_out
+from .rackrun import RackRunSynthesizer
 
 logger = logging.getLogger(__name__)
 
@@ -87,193 +92,12 @@ STORE_SCHEMA = "millisampler-repro/shard-store"
 #: Environment override for the default store location.
 STORE_DIR_ENV = "MILLISAMPLER_STORE_DIR"
 
-#: Default shard geometry: racks per shard x hours per shard.  64 x 12
-#: keeps a paper-scale (1000-rack) region at ~32 shards of a few
-#: thousand runs each — large enough to amortize fluid batching, small
-#: enough that one shard of summaries is a trivial memory footprint.
-DEFAULT_SHARD_RACKS = 64
-DEFAULT_SHARD_HOURS = 12
-
-#: Numeric per-run summary columns (one row per rack run).  These are
-#: what the streaming aggregations read; the full RunSummary objects
-#: stay in the pickle sidecar.
-RUN_COLUMNS: tuple[str, ...] = (
-    "rack_id",
-    "hour",
-    "servers",
-    "buckets",
-    "sampling_interval",
-    "contention_mean",
-    "contention_min_active",
-    "contention_p90",
-    "contention_max",
-    "contention_frac_zero",
-    "n_bursts",
-    "bursty_server_runs",
-    "switch_discard_bytes",
-    "switch_ingress_bytes",
-    "total_in_bytes",
-    "colocated",
-    "distinct_tasks",
-    "dominant_share",
-)
-RUN_COL: dict[str, int] = {name: index for index, name in enumerate(RUN_COLUMNS)}
-
-#: Numeric per-burst columns (one row per detected burst).
-BURST_COLUMNS: tuple[str, ...] = (
-    "run_row",
-    "burst_index",
-    "max_contention",
-    "lossy",
-    "first_loss_contention",
-    "length_buckets",
-    "volume_bytes",
-)
-BURST_COL: dict[str, int] = {name: index for index, name in enumerate(BURST_COLUMNS)}
-
-
 def default_store_dir() -> str:
     """``$MILLISAMPLER_STORE_DIR`` or ``~/.cache/millisampler-shards``."""
     override = os.environ.get(STORE_DIR_ENV)
     if override:
         return override
     return os.path.join(os.path.expanduser("~"), ".cache", "millisampler-shards")
-
-
-# -- shard geometry ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardKey:
-    """Identity of one shard: a rack range x hour band of one region."""
-
-    region: str
-    rack_lo: int
-    rack_hi: int  # exclusive
-    hour_lo: int
-    hour_hi: int  # exclusive
-
-    @property
-    def tag(self) -> str:
-        return (
-            f"r{self.rack_lo:04d}-{self.rack_hi:04d}"
-            f"-h{self.hour_lo:02d}-{self.hour_hi:02d}"
-        )
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """One shard's generation work: the plans whose rack index falls in
-    the range, each with the run indices whose hour falls in the band.
-
-    ``run_indices`` index into the rack's *full* day schedule, so every
-    run keeps its original ``(rack_index, run_index)`` seed-stream leaf
-    and shard contents are bit-identical to the monolithic generation.
-    """
-
-    key: ShardKey
-    plans: tuple[RackRunPlan, ...]
-    run_indices: tuple[tuple[int, ...], ...]  # aligned with plans
-
-    @property
-    def total_runs(self) -> int:
-        return sum(len(indices) for indices in self.run_indices)
-
-
-def plan_region_shards(
-    spec: RegionSpec,
-    config: FleetConfig,
-    shard_racks: int = DEFAULT_SHARD_RACKS,
-    shard_hours: int = DEFAULT_SHARD_HOURS,
-) -> tuple[list[RackRunPlan], list[ShardTask]]:
-    """Partition a region plan into shard tasks.
-
-    Returns the full plan list (rack order — the workloads contract)
-    and the shard tasks ordered by (rack range, hour band).  Every
-    (rack, run) of the plan appears in exactly one shard.
-    """
-    if shard_racks < 1:
-        raise ConfigError("shard must span at least one rack")
-    if shard_hours < 1:
-        raise ConfigError("shard must span at least one hour")
-    plans = plan_region(spec, config)
-    tasks: list[ShardTask] = []
-    for rack_lo in range(0, len(plans), shard_racks):
-        rack_hi = min(rack_lo + shard_racks, len(plans))
-        for hour_lo in range(0, config.hours, shard_hours):
-            hour_hi = min(hour_lo + shard_hours, config.hours)
-            shard_plans: list[RackRunPlan] = []
-            shard_indices: list[tuple[int, ...]] = []
-            for plan in plans[rack_lo:rack_hi]:
-                indices = tuple(
-                    run_index
-                    for run_index, hour in enumerate(plan.hours)
-                    if hour_lo <= hour < hour_hi
-                )
-                if indices:
-                    shard_plans.append(plan)
-                    shard_indices.append(indices)
-            if not shard_plans:
-                continue
-            tasks.append(
-                ShardTask(
-                    key=ShardKey(spec.name, rack_lo, rack_hi, hour_lo, hour_hi),
-                    plans=tuple(shard_plans),
-                    run_indices=tuple(shard_indices),
-                )
-            )
-    return plans, tasks
-
-
-# -- columnar projection -----------------------------------------------------
-
-
-def summaries_to_columns(
-    summaries: list[RunSummary], rack_ids: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project summaries onto the (runs, bursts) numeric column arrays."""
-    runs = np.zeros((len(summaries), len(RUN_COLUMNS)), dtype=np.float64)
-    burst_rows: list[list[float]] = []
-    for row, (summary, rack_id) in enumerate(zip(summaries, rack_ids)):
-        contention = summary.contention
-        runs[row] = (
-            rack_id,
-            summary.hour,
-            summary.servers,
-            summary.buckets,
-            summary.sampling_interval,
-            contention.mean,
-            contention.min_active,
-            contention.p90,
-            contention.max,
-            contention.frac_zero,
-            len(summary.bursts),
-            summary.bursty_server_runs(),
-            summary.switch_discard_bytes,
-            summary.switch_ingress_bytes,
-            summary.total_in_bytes,
-            float(bool(summary.extras.get("colocated", False))),
-            float(summary.extras.get("distinct_tasks", 0)),
-            float(summary.extras.get("dominant_share", 0.0)),
-        )
-        for burst_index, burst in enumerate(summary.bursts):
-            burst_rows.append(
-                [
-                    float(row),
-                    float(burst_index),
-                    float(burst.max_contention),
-                    float(burst.lossy),
-                    float(burst.first_loss_contention),
-                    float(burst.length),
-                    float(burst.volume),
-                ]
-            )
-    bursts = (
-        np.asarray(burst_rows, dtype=np.float64)
-        if burst_rows
-        else np.zeros((0, len(BURST_COLUMNS)), dtype=np.float64)
-    )
-    return runs, bursts
 
 
 # -- atomic file plumbing ----------------------------------------------------
@@ -304,36 +128,6 @@ def _sha256_file(path: str) -> str:
 
 
 # -- shard generation (worker side) ------------------------------------------
-
-
-def synthesize_shard(
-    task: ShardTask,
-    config: FleetConfig,
-    synthesizer: RackRunSynthesizer | None = None,
-    metrics: Metrics | None = None,
-) -> list[RunSummary]:
-    """Synthesize one shard's runs (rack-major, hour-ascending order),
-    reducing each fluid batch immediately — the worker's unit of work."""
-    from .dataset import _summarize_batch  # shared batching helper
-
-    synthesizer = synthesizer or RackRunSynthesizer(policy=config.policy, kernel=config.kernel)
-    metrics = metrics if metrics is not None else Metrics()
-    items: list[BatchItem] = []
-    for plan, run_indices in zip(task.plans, task.run_indices):
-        for run_index in run_indices:
-            items.append(
-                (
-                    plan.workload,
-                    plan.hours[run_index],
-                    run_rng(task.key.region, config.seed, plan.rack_index, run_index),
-                )
-            )
-    summaries: list[RunSummary] = []
-    for start in range(0, len(items), config.fluid_batch):
-        chunk = items[start : start + config.fluid_batch]
-        for summary, _workload in _summarize_batch(chunk, synthesizer, metrics):
-            summaries.append(summary)
-    return summaries
 
 
 def _write_shard(
@@ -389,18 +183,22 @@ def _write_shard(
     return record
 
 
-def _shard_worker(task: ShardTask, config: FleetConfig, directory: str) -> tuple[str, dict, dict]:
-    """Top-level process-pool entry point (must be picklable).
+def _build_shard(
+    task: ShardTask,
+    config: FleetConfig,
+    directory: str,
+    synthesizer: RackRunSynthesizer | None,
+    metrics: Metrics,
+) -> dict:
+    """Generate and write one whole shard; return its manifest record.
 
-    Generates and writes one whole shard; only the manifest record and
-    a telemetry snapshot cross the process boundary back to the parent.
+    The store's unit of work for :func:`repro.fleet.parallel.fan_out`:
+    only the record (and, in a pool, a telemetry snapshot) crosses the
+    process boundary back to the parent.
     """
-    metrics = Metrics()
-    consume_pending(metrics)  # pool-initializer JIT compile time
     with metrics.span("shards/generate"):
-        summaries = synthesize_shard(task, config, metrics=metrics)
-        record = _write_shard(directory, task, summaries, metrics)
-    return task.key.tag, record, metrics.snapshot()
+        summaries = synthesize_shard(task, config, synthesizer, metrics=metrics)
+        return _write_shard(directory, task, summaries, metrics)
 
 
 # -- the store ---------------------------------------------------------------
@@ -524,7 +322,7 @@ class RegionShardStore:
         cancel_event: threading.Event | None = None,
         on_shard: Callable[[dict], None] | None = None,
     ) -> dict:
-        """Generate every shard (serially or across a process pool) and
+        """Generate every shard (inline or across a process pool) and
         atomically publish the manifest.  Returns the manifest.
 
         ``on_shard`` receives each shard's manifest record as it
@@ -535,14 +333,11 @@ class RegionShardStore:
         finish, the manifest is *not* written, and
         :class:`~repro.errors.WorkerCancelled` is raised — the store
         stays an incomplete-but-consistent miss thanks to manifest-last
-        atomicity).  Fan-out failure semantics come from
-        :func:`repro.fleet.parallel.run_windowed`: fail-fast
+        atomicity).  Fan-out and failure semantics come from
+        :func:`repro.fleet.parallel.fan_out`: fail-fast
         ``WorkerTaskError`` naming the shard, crash containment via
         ``WorkerCrashError``.
         """
-        from .parallel import resolve_jobs, run_windowed
-
-        jobs = resolve_jobs(jobs)
         os.makedirs(self.directory, exist_ok=True)
         sweep_stale_tmp_files(self.directory, metrics=self.metrics)
         plans, tasks = plan_region_shards(
@@ -552,11 +347,9 @@ class RegionShardStore:
         done = 0
         records: dict[str, dict] = {}
 
-        def collect(record: dict, snapshot: dict | None) -> None:
+        def collect(task: ShardTask, record: dict) -> None:
             nonlocal done
             records[record["tag"]] = record
-            if snapshot is not None:
-                self.metrics.merge(snapshot)
             self.metrics.incr("dataset.shards.generated")
             done += record["runs"]
             if progress is not None:
@@ -565,31 +358,22 @@ class RegionShardStore:
                 on_shard(record)
 
         with self.metrics.span(f"shards/build/{self.spec.name}"):
-            if (jobs > 1 or pool is not None) and len(tasks) > 1:
-                run_windowed(
-                    tasks,
-                    lambda executor, task: executor.submit(
-                        _shard_worker, task, self.config, self.directory
-                    ),
-                    lambda task, result: collect(result[1], result[2]),
-                    jobs=jobs,
-                    label=lambda task: f"shard {task.key.tag}",
-                    pool=pool,
-                    cancel_event=cancel_event,
-                    initializer=pool_initializer,
-                    initargs=(self.config.kernel,),
-                )
-            else:
-                synthesizer = synthesizer or RackRunSynthesizer(policy=self.config.policy, kernel=self.config.kernel)
-                for index, task in enumerate(tasks):
-                    if cancel_event is not None and cancel_event.is_set():
-                        raise WorkerCancelled(index, len(tasks))
-                    with self.metrics.span("shards/generate"):
-                        summaries = synthesize_shard(
-                            task, self.config, synthesizer, metrics=self.metrics
-                        )
-                        record = _write_shard(self.directory, task, summaries, self.metrics)
-                    collect(record, None)
+            fan_out(
+                tasks,
+                partial(
+                    _build_shard,
+                    config=self.config,
+                    directory=self.directory,
+                    synthesizer=synthesizer,
+                ),
+                collect,
+                jobs=jobs,
+                metrics=self.metrics,
+                kernel=self.config.kernel,
+                label=lambda task: f"shard {task.key.tag}",
+                pool=pool,
+                cancel_event=cancel_event,
+            )
 
         _atomic_write(
             os.path.join(self.directory, "workloads.pkl"),
@@ -653,59 +437,15 @@ class RegionShardStore:
 # -- the lazy dataset view ---------------------------------------------------
 
 
-def _close_mmap(array: np.ndarray) -> None:
-    """Release the file mapping behind a ``np.load(mmap_mode="r")`` array.
-
-    CPython's ``mmap.mmap`` dups the file descriptor, so every live
-    memmap holds one open fd until its mapping is explicitly closed —
-    GC alone is too lazy for a long-lived service iterating hundreds of
-    shards.  Any view taken from the array becomes invalid after this.
-    """
-    mapping = getattr(array, "_mmap", None)
-    if mapping is not None:
-        try:
-            mapping.close()
-        except BufferError:
-            # A live view still aliases the mapping; leave it to GC
-            # rather than pulling memory out from under the view.
-            pass
-
-
 @dataclass
-class ShardFrame:
-    """One shard's columnar arrays (memmap-backed) plus its record."""
-
-    record: dict
-    runs: np.ndarray  # (n_runs, len(RUN_COLUMNS)) float64, mmap
-    bursts: np.ndarray  # (n_bursts, len(BURST_COLUMNS)) float64, mmap
-
-    def run_column(self, name: str) -> np.ndarray:
-        return self.runs[:, RUN_COL[name]]
-
-    def burst_column(self, name: str) -> np.ndarray:
-        return self.bursts[:, BURST_COL[name]]
-
-    def close(self) -> None:
-        """Release both file mappings (and their fds) eagerly.
-
-        Consumers that stream shard-by-shard call this as soon as the
-        shard's rows are folded into an accumulator, keeping the open-fd
-        count O(1) in the number of shards instead of O(shards)-until-GC.
-        """
-        _close_mmap(self.runs)
-        _close_mmap(self.bursts)
-
-
-@dataclass
-class ShardedRegionDataset:
+class ShardedRegionDataset(FrameAggregations):
     """Lazy region-day view over a shard store.
 
-    Duck-types the parts of :class:`RegionDataset` the experiment layer
-    uses (``region``, ``summaries``, ``workloads``, ``table1_row``) but
-    computes aggregations **streamingly**, one shard at a time, through
-    the mergeable partials of :mod:`repro.analysis.streaming`.
-    Accessing :attr:`summaries` materializes every shard and is the
-    compatibility path for analyses not yet converted to streaming.
+    Offers what :class:`RegionDataset` does (``region``, ``summaries``,
+    ``workloads`` and the :class:`~repro.fleet.frames.FrameAggregations`)
+    but folds the aggregations **streamingly**, one memmap-backed shard
+    frame at a time.  Accessing :attr:`summaries` materializes every
+    shard and is the path for analyses that need full summaries.
     """
 
     store: RegionShardStore
@@ -731,9 +471,8 @@ class ShardedRegionDataset:
         """Memmap-backed columnar frames, shard by shard.
 
         Each frame holds two open fds until its :meth:`ShardFrame.close`
-        is called; the streaming consumers below close every frame as
-        soon as it is folded, and callers iterating directly should do
-        the same.
+        is called; the aggregations close every frame as soon as it is
+        folded, and callers iterating directly should do the same.
         """
         for record in self.manifest["shards"]:
             with self.metrics.span("shards/load"):
@@ -747,18 +486,6 @@ class ShardedRegionDataset:
                 )
             self.metrics.incr("dataset.shards.loaded")
             yield ShardFrame(record=record, runs=runs, bursts=bursts)
-
-    def iter_shard_summaries(self) -> Iterator[tuple[dict, list[RunSummary]]]:
-        """Full summary objects, one shard in memory at a time."""
-        for record in self.manifest["shards"]:
-            with self.metrics.span("shards/load"):
-                path = os.path.join(
-                    self.store.directory, record["files"]["summaries"]
-                )
-                with open(path, "rb") as stream:
-                    summaries = pickle.load(stream)
-            self.metrics.incr("dataset.shards.loaded")
-            yield record, summaries
 
     def iter_summaries(self) -> Iterator[RunSummary]:
         """Every run summary in **global order** (rack-major, hour asc),
@@ -821,130 +548,6 @@ class ShardedRegionDataset:
         return RegionDataset(
             region=self.region, summaries=self.summaries, workloads=self.workloads
         )
-
-    # -- streaming aggregations ------------------------------------------
-
-    def _merge_frames(self, make, feed):
-        """Run one accumulator per shard and fold them left-to-right —
-        the associative-merge shape a distributed reducer would use."""
-        merged = None
-        for frame in self.iter_frames():
-            partial = make()
-            try:
-                feed(partial, frame)
-            finally:
-                # Accumulators copy out of memmap-backed blocks (see
-                # _RowBlocks._materialized), so the shard's fds can be
-                # released the moment its rows are folded.
-                frame.close()
-            with self.metrics.span("shards/merge"):
-                if merged is None:
-                    merged = partial
-                else:
-                    merged.merge(partial)
-                self.metrics.incr("dataset.shards.merged")
-        if merged is None:
-            merged = make()
-        return merged
-
-    def table1_row(self) -> DatasetSummary:
-        names = np.asarray(self.rack_names)
-
-        def feed(acc: Table1Accumulator, frame: ShardFrame) -> None:
-            rack_ids = frame.run_column("rack_id").astype(np.int64)
-            acc.add_columns(
-                names[rack_ids],
-                frame.run_column("servers"),
-                frame.run_column("bursty_server_runs"),
-                frame.run_column("n_bursts"),
-            )
-
-        return self._merge_frames(lambda: Table1Accumulator(self.region), feed).finalize()
-
-    def rack_profiles(self, hours: set[int] | None = None):
-        names = np.asarray(self.rack_names)
-        region = self.region
-
-        def feed(acc: RackProfileAccumulator, frame: ShardFrame) -> None:
-            rack_ids = frame.run_column("rack_id").astype(np.int64)
-            acc.add_columns(
-                region,
-                names[rack_ids],
-                frame.run_column("hour").astype(np.int64),
-                frame.run_column("contention_mean"),
-                frame.run_column("switch_discard_bytes"),
-                frame.run_column("switch_ingress_bytes"),
-                frame.run_column("distinct_tasks"),
-                frame.run_column("dominant_share"),
-                frame.run_column("colocated"),
-            )
-
-        return self._merge_frames(
-            lambda: RackProfileAccumulator(hours=hours), feed
-        ).finalize()
-
-    def hourly_boxes(self, racks: set[str] | None = None):
-        names = np.asarray(self.rack_names)
-
-        def feed(acc: HourlyBoxAccumulator, frame: ShardFrame) -> None:
-            rack_ids = frame.run_column("rack_id").astype(np.int64)
-            acc.add_columns(
-                names[rack_ids],
-                frame.run_column("hour").astype(np.int64),
-                frame.run_column("contention_mean"),
-            )
-
-        return self._merge_frames(lambda: HourlyBoxAccumulator(racks=racks), feed).finalize()
-
-    def run_contention(self) -> RunContentionView:
-        names = np.asarray(self.rack_names)
-
-        def feed(acc: RunContentionAccumulator, frame: ShardFrame) -> None:
-            rack_ids = frame.run_column("rack_id").astype(np.int64)
-            acc.add_columns(
-                names[rack_ids],
-                frame.run_column("hour").astype(np.int64),
-                frame.run_column("contention_min_active"),
-                frame.run_column("contention_p90"),
-            )
-
-        return self._merge_frames(lambda: RunContentionAccumulator(), feed).finalize()
-
-    def burst_contention(self) -> BurstContentionView:
-        names = np.asarray(self.rack_names)
-
-        def feed(acc: BurstContentionAccumulator, frame: ShardFrame) -> None:
-            if frame.bursts.shape[0] == 0:
-                return
-            run_rows = frame.burst_column("run_row").astype(np.int64)
-            rack_ids = frame.runs[run_rows, RUN_COL["rack_id"]].astype(np.int64)
-            hours = frame.runs[run_rows, RUN_COL["hour"]].astype(np.int64)
-            # Sub-key: preserve intra-run burst order under the stable
-            # global (rack, hour, sub) sort.
-            acc.add_columns(
-                names[rack_ids],
-                hours,
-                frame.burst_column("burst_index").astype(np.int64),
-                frame.burst_column("max_contention"),
-                frame.burst_column("lossy"),
-                frame.burst_column("first_loss_contention"),
-            )
-
-        return self._merge_frames(lambda: BurstContentionAccumulator(), feed).finalize()
-
-    def hour_counts(self) -> dict[int, int]:
-        """Runs per hour — the busy-hour fallback needs coverage counts."""
-        counts: dict[int, int] = {}
-        for frame in self.iter_frames():
-            try:
-                hours, per_hour = np.unique(
-                    frame.run_column("hour").astype(np.int64), return_counts=True
-                )
-            finally:
-                frame.close()
-            for hour, count in zip(hours.tolist(), per_hour.tolist()):
-                counts[hour] = counts.get(hour, 0) + count
-        return counts
 
 
 def generate_region_shards(

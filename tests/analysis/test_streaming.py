@@ -25,13 +25,16 @@ from repro.analysis.streaming import (
     RackProfileAccumulator,
     RunContentionAccumulator,
     Table1Accumulator,
-    burst_contention_from_summaries,
-    run_contention_from_summaries,
 )
 from repro.config import FleetConfig
 from repro.errors import AnalysisError
 from repro.fleet.dataset import generate_region_dataset
 from repro.workload.region import REGION_A
+
+from ._contention_reference import (
+    burst_contention_from_summaries,
+    run_contention_from_summaries,
+)
 
 
 @pytest.fixture(scope="module")

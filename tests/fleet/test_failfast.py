@@ -31,11 +31,8 @@ from repro.errors import (
     WorkerCrashError,
     WorkerTaskError,
 )
-from repro.fleet.parallel import (
-    generate_region_dataset_parallel,
-    resolve_jobs,
-    run_windowed,
-)
+from repro.fleet.dataset import generate_region_dataset
+from repro.fleet.parallel import resolve_jobs, run_windowed
 from repro.fleet.rackrun import RackRunSynthesizer
 from repro.obs.metrics import Metrics
 from repro.workload.region import REGION_A
@@ -105,7 +102,7 @@ class TestFailFast:
         poisoned_index = 2
         metrics = Metrics()
         with pytest.raises(WorkerTaskError) as excinfo:
-            generate_region_dataset_parallel(
+            generate_region_dataset(
                 REGION_A,
                 CONFIG,
                 jobs=JOBS,
@@ -146,13 +143,13 @@ class TestCrashContainment:
         sentinel = tmp_path / "kill-once"
         sentinel.write_text("armed")
         config = dataclasses.replace(CONFIG, racks_per_region=6)
-        crashed = generate_region_dataset_parallel(
+        crashed = generate_region_dataset(
             REGION_A,
             config,
             jobs=JOBS,
             synthesizer=KillSynthesizer(_rack_name(3), once_path=str(sentinel)),
         )
-        oracle = generate_region_dataset_parallel(
+        oracle = generate_region_dataset(
             REGION_A, config, jobs=JOBS, synthesizer=FastSynthesizer()
         )
         assert not sentinel.exists()  # the kill actually fired
@@ -162,7 +159,7 @@ class TestCrashContainment:
         config = dataclasses.replace(CONFIG, racks_per_region=6)
         rack = _rack_name(3)
         with pytest.raises(WorkerCrashError) as excinfo:
-            generate_region_dataset_parallel(
+            generate_region_dataset(
                 REGION_A, config, jobs=JOBS, synthesizer=KillSynthesizer(rack)
             )
         assert rack in " ".join(excinfo.value.suspects)
@@ -234,7 +231,7 @@ class TestGracefulDrain:
         event = threading.Event()
         event.set()
         with pytest.raises(WorkerCancelled):
-            generate_region_dataset_parallel(
+            generate_region_dataset(
                 REGION_A,
                 dataclasses.replace(CONFIG, racks_per_region=4),
                 jobs=JOBS,

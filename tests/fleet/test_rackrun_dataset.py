@@ -1,15 +1,16 @@
 """Tests for rack-run synthesis and dataset generation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.config import FleetConfig
 from repro.core.run import SyncRun
 from repro.errors import ConfigError, SimulationError
-from repro.fleet.dataset import (
-    generate_region_dataset,
-    iter_region_summaries,
-)
+from repro.fleet.dataset import generate_region_dataset
+from repro.fleet.shards import generate_region_shards
+from repro.obs.metrics import Metrics
 from repro.fleet.rackrun import RackRunSynthesizer, sketch_estimates
 from repro.workload.region import REGION_A, build_region_workloads
 
@@ -90,9 +91,9 @@ class TestRackRunSynthesizer:
 class TestDatasetGeneration:
     def test_streaming_generation(self, rng):
         config = FleetConfig(racks_per_region=3, runs_per_rack=2, seed=1)
-        pairs = list(iter_region_summaries(REGION_A, config))
-        assert len(pairs) == 6
-        racks = {summary.rack for summary, _ in pairs}
+        summaries = generate_region_dataset(REGION_A, config, jobs=1).summaries
+        assert len(summaries) == 6
+        racks = {summary.rack for summary in summaries}
         assert len(racks) == 3
 
     def test_region_dataset_table1(self):
@@ -103,13 +104,6 @@ class TestDatasetGeneration:
         assert row.server_runs == 6 * 92
         assert 0 < row.bursty_server_runs <= row.server_runs
         assert row.bursts > 0
-
-    def test_rack_days_grouping(self):
-        config = FleetConfig(racks_per_region=2, runs_per_rack=3, seed=1)
-        dataset = generate_region_dataset(REGION_A, config)
-        days = dataset.rack_days()
-        assert len(days) == 2
-        assert all(len(day.summaries) == 3 for day in days)
 
     def test_deterministic_given_seed(self):
         config = FleetConfig(racks_per_region=2, runs_per_rack=2, seed=7)
@@ -127,8 +121,9 @@ class TestDatasetGeneration:
 
     def test_too_many_runs_rejected(self):
         config = FleetConfig(racks_per_region=1, runs_per_rack=10, hours=5, seed=1)
-        with pytest.raises(ConfigError):
-            list(iter_region_summaries(REGION_A, config))
+        for jobs in (1, 2):
+            with pytest.raises(ConfigError):
+                generate_region_dataset(REGION_A, config, jobs=jobs)
 
     def test_progress_callback_invoked(self):
         config = FleetConfig(racks_per_region=2, runs_per_rack=2, seed=1)
@@ -137,6 +132,64 @@ class TestDatasetGeneration:
             REGION_A, config, progress=lambda done, total: calls.append((done, total))
         )
         assert calls[-1] == (4, 4)
+
+
+def fluid_kernel_calls(metrics: Metrics) -> float:
+    """Fluid ``run_batch`` passes, whichever kernel ran them."""
+    return sum(
+        value
+        for name, value in metrics.counters().items()
+        if name.startswith("synthesis.fluid.kernel.")
+    )
+
+
+class TestOneGenerationPath:
+    """Serial, pool and shard-store generation are one synthesis unit
+    driven by one fan-out, so they agree byte for byte."""
+
+    @pytest.mark.parametrize(
+        "racks, runs, expected_calls",
+        # Per-rack batching would make 20 and 4 calls.
+        [(20, 4, 5), (4, 2, 1)],
+    )
+    def test_serial_fluid_batches_cross_racks(self, racks, runs, expected_calls):
+        config = FleetConfig(
+            racks_per_region=racks, runs_per_rack=runs, seed=11, fluid_batch=16
+        )
+        metrics = Metrics()
+        dataset = generate_region_dataset(REGION_A, config, jobs=1, metrics=metrics)
+        assert len(dataset.summaries) == racks * runs
+        assert fluid_kernel_calls(metrics) == expected_calls
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FleetConfig(racks_per_region=5, runs_per_rack=3, seed=21),
+            FleetConfig(racks_per_region=3, runs_per_rack=0, seed=21),
+            FleetConfig(racks_per_region=0, runs_per_rack=3, seed=21),
+        ],
+        ids=["five-racks", "zero-runs-per-rack", "zero-racks"],
+    )
+    def test_serial_pool_and_store_identical(self, config, tmp_path):
+        serial = generate_region_dataset(REGION_A, config, jobs=1)
+        pooled = generate_region_dataset(REGION_A, config, jobs=2)
+        sharded = generate_region_shards(
+            REGION_A, config, str(tmp_path), shard_racks=2, shard_hours=8, jobs=1
+        ).to_region_dataset()
+        assert len(serial.workloads) == config.racks_per_region
+        expected = dataset_bytes(serial)
+        assert dataset_bytes(pooled) == expected
+        assert dataset_bytes(sharded) == expected
+
+
+def dataset_bytes(dataset) -> tuple:
+    """Each summary and workload pickled on its own: byte identity that
+    does not depend on object sharing across runs."""
+    return (
+        dataset.region,
+        [pickle.dumps(summary) for summary in dataset.summaries],
+        [pickle.dumps(workload) for workload in dataset.workloads],
+    )
 
 
 def assert_sync_runs_equal(a: SyncRun, b: SyncRun):

@@ -22,10 +22,6 @@ import pytest
 
 from repro.analysis.diurnal import hourly_box_stats
 from repro.analysis.racks import rack_profiles
-from repro.analysis.streaming import (
-    burst_contention_from_summaries,
-    run_contention_from_summaries,
-)
 from repro.config import FleetConfig
 from repro.errors import ConfigError
 from repro.fleet.dataset import generate_region_dataset, plan_region
@@ -37,6 +33,11 @@ from repro.fleet.shards import (
     plan_region_shards,
 )
 from repro.workload.region import REGION_A, REGION_B
+
+from ..analysis._contention_reference import (
+    burst_contention_from_summaries,
+    run_contention_from_summaries,
+)
 
 CONFIG = FleetConfig(racks_per_region=6, runs_per_rack=3, seed=77)
 
